@@ -1,6 +1,6 @@
 // google-benchmark micro-benchmarks of the library's hot paths: the
 // Monte-Carlo edge estimator, graph generation and partition statistics,
-// one BP superstep, dense/conv forward-backward, the event-queue core, and
+// one BP superstep, dense/conv forward-backward, the event-engine core, and
 // the closed-form model evaluations used inside planner sweeps.
 
 #include <benchmark/benchmark.h>
@@ -15,8 +15,8 @@
 #include "nn/dense_layer.h"
 #include "bp/async_bp.h"
 #include "sim/collectives.h"
+#include "sim/event_engine.h"
 #include "sim/param_server.h"
-#include "sim/simulator.h"
 
 namespace dmlscale {
 namespace {
@@ -101,17 +101,18 @@ void BM_ConvForward(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvForward)->Arg(16)->Arg(32);
 
-void BM_SimulatorEventLoop(benchmark::State& state) {
+void BM_EngineEventLoop(benchmark::State& state) {
   for (auto _ : state) {
-    sim::Simulator simulator;
+    sim::Engine engine(1, sim::EngineOptions{});  // sequential mode
+    int noop = engine.AddHandler([](const sim::Event&) {});
     for (int i = 0; i < state.range(0); ++i) {
-      simulator.Schedule(static_cast<double>(i % 97), [] {});
+      engine.MustScheduleAt(0, static_cast<double>(i % 97), noop);
     }
-    benchmark::DoNotOptimize(simulator.Run());
+    benchmark::DoNotOptimize(engine.Run().value().end_time);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_SimulatorEventLoop)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_EngineEventLoop)->Arg(1000)->Arg(10000);
 
 void BM_TreeReduceSimulation(benchmark::State& state) {
   std::vector<double> ready(static_cast<size_t>(state.range(0)), 0.0);

@@ -80,7 +80,7 @@ sweep::SweepGrid BuildPaperGrid(int max_nodes, int sim_supersteps) {
   // fabrics (the plain "mnist-ring" above is the ideal-network baseline).
   // The sim options below then cross-check the analytic M/M/1 pricing
   // against the per-link discrete-event simulator via the mape_pct column.
-  std::vector<sweep::NetworkAxisPoint> networks;
+  std::vector<sweep::FacetAxisPoint> networks;
   networks.push_back({.label = "ft4x4-mm1", .params = {}});
   networks.back().params.Set("topology", "fat-tree").Set(
       "oversubscription", 4.0);
@@ -89,8 +89,8 @@ sweep::SweepGrid BuildPaperGrid(int max_nodes, int sim_supersteps) {
   networks.back().params.Set("topology", "mesh2d").Set("queue", "mm1");
   networks.push_back({.label = "star-mm1", .params = {}});
   networks.back().params.Set("topology", "star").Set("queue", "mm1");
-  for (sweep::ScenarioAxisPoint& point : sweep::ExpandNetworkAxis(ring,
-                                                                  networks)) {
+  for (sweep::ScenarioAxisPoint& point : sweep::ExpandAxis(
+           ring, &sweep::ScenarioAxisPoint::comm_params, networks)) {
     grid.AddScenario(std::move(point));
   }
   grid.AddScenario({.label = "mnist-recdouble",

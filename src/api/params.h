@@ -65,6 +65,9 @@ class ModelParams {
   /// default).
   [[nodiscard]] Status ExpectOnly(std::initializer_list<std::string_view> allowed) const;
 
+  /// True when neither bag holds a key.
+  bool empty() const { return values_.empty() && strings_.empty(); }
+
   const std::map<std::string, double>& values() const { return values_; }
   const std::map<std::string, std::string>& strings() const {
     return strings_;

@@ -301,8 +301,7 @@ Result<Scenario> Scenario::Builder::Build() const {
 
   DMLSCALE_ASSIGN_OR_RETURN(serve::ServingSpec serving,
                             ResolveServingSpec(serving_params_, link));
-  const bool serving_aware =
-      !serving_params_.values().empty() || !serving_params_.strings().empty();
+  const bool serving_aware = !serving_params_.empty();
 
   Scenario scenario;
   scenario.name_ = name_;

@@ -41,7 +41,7 @@ Status RequireOwner(const ModelParams& params, const std::string& key,
 Result<serve::ServingSpec> ResolveServingSpec(const ModelParams& params,
                                               const core::LinkSpec& link) {
   serve::ServingSpec spec;
-  if (params.values().empty() && params.strings().empty()) {
+  if (params.empty()) {
     // The empty bag keeps a scenario serving-free; the default spec never
     // reaches Validate() (a 0-qps stream would be rejected).
     return spec;

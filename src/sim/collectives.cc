@@ -5,7 +5,6 @@
 
 #include "common/math_util.h"
 #include "sim/event_engine.h"
-#include "sim/simulator.h"
 
 namespace dmlscale::sim {
 
@@ -27,20 +26,16 @@ double TransferSeconds(double bits, const core::LinkSpec& link,
 
 }  // namespace
 
-namespace {
-
-// Legacy (closure-based Simulator) reference implementations of the two
-// event-driven tree sims, retained verbatim during the engine migration.
-
-Result<double> TreeReduceLegacy(const std::vector<double>& ready_times,
-                                double bits, const core::LinkSpec& link,
-                                const OverheadModel& overhead) {
+Result<double> SimulateTreeReduce(const std::vector<double>& ready_times,
+                                  double bits, core::LinkSpec link,
+                                  const OverheadModel& overhead) {
+  DMLSCALE_RETURN_NOT_OK(CheckCommon(ready_times.size(), bits, link));
+  if (ready_times.size() == 1) return ready_times[0];
   int n = static_cast<int>(ready_times.size());
 
   // Heap-indexed binary tree: node i has children 2i+1, 2i+2. A node can
   // send upward once its own work and all child receptions are complete.
-  // Parents receive sequentially over one link (link_busy_until).
-  Simulator simulator;
+  // Parents receive sequentially over one link (link_busy).
   double transfer = TransferSeconds(bits, link, overhead);
   std::vector<int> pending_children(static_cast<size_t>(n), 0);
   std::vector<double> up_ready = ready_times;  // when node may send upward
@@ -54,68 +49,16 @@ Result<double> TreeReduceLegacy(const std::vector<double>& ready_times,
     pending_children[static_cast<size_t>(i)] = kids;
   }
 
-  // SendUp is declared as a std::function so events can schedule events.
-  std::function<void(int)> send_up = [&](int node) {
-    if (node == 0) {
-      completion = std::max(completion, up_ready[0]);
-      return;
-    }
-    int parent = (node - 1) / 2;
-    // Reception occupies the parent's link; sequential per parent.
-    double start = std::max(up_ready[static_cast<size_t>(node)],
-                            link_busy[static_cast<size_t>(parent)]);
-    double done = start + transfer;
-    link_busy[static_cast<size_t>(parent)] = done;
-    simulator.ScheduleAt(done, [&, parent, done] {
-      up_ready[static_cast<size_t>(parent)] =
-          std::max(up_ready[static_cast<size_t>(parent)], done);
-      if (--pending_children[static_cast<size_t>(parent)] == 0) {
-        send_up(parent);
-      }
-    });
-  };
-
-  for (int i = 0; i < n; ++i) {
-    if (pending_children[static_cast<size_t>(i)] == 0) {
-      simulator.ScheduleAt(ready_times[static_cast<size_t>(i)],
-                           [&send_up, i] { send_up(i); });
-    }
-  }
-  simulator.Run();
-  return completion;
-}
-
-// Engine port: same state, same arithmetic, and the same ScheduleAt call
-// sequence as TreeReduceLegacy — sequential mode's global seq then
-// reproduces the legacy event order exactly, so the result is bit-identical
-// (enforced by the golden equivalence tests).
-Result<double> TreeReduceEngine(const std::vector<double>& ready_times,
-                                double bits, const core::LinkSpec& link,
-                                const OverheadModel& overhead) {
-  int n = static_cast<int>(ready_times.size());
-
-  double transfer = TransferSeconds(bits, link, overhead);
-  std::vector<int> pending_children(static_cast<size_t>(n), 0);
-  std::vector<double> up_ready = ready_times;
-  std::vector<double> link_busy(static_cast<size_t>(n), 0.0);
-  double completion = 0.0;
-
-  for (int i = 0; i < n; ++i) {
-    int kids = 0;
-    if (2 * i + 1 < n) ++kids;
-    if (2 * i + 2 < n) ++kids;
-    pending_children[static_cast<size_t>(i)] = kids;
-  }
-
   Engine engine(n, EngineOptions{});  // lookahead 0: sequential mode
   int recv_type = -1;
-  // "Recurses" through the event queue, exactly like the legacy send_up.
+  // "Recurses" through the event queue: a completed subtree sends upward.
   auto send_up = [&](int node) {
     if (node == 0) {
       completion = std::max(completion, up_ready[0]);
       return;
     }
     int parent = (node - 1) / 2;
+    // Reception occupies the parent's link; sequential per parent.
     double start = std::max(up_ready[static_cast<size_t>(node)],
                             link_busy[static_cast<size_t>(parent)]);
     double done = start + transfer;
@@ -144,51 +87,22 @@ Result<double> TreeReduceEngine(const std::vector<double>& ready_times,
   return completion;
 }
 
-Result<double> TreeBroadcastLegacy(int num_nodes, double start_time,
-                                   double bits, const core::LinkSpec& link,
-                                   const OverheadModel& overhead) {
-  Simulator simulator;
+Result<double> SimulateTreeBroadcast(int num_nodes, double start_time,
+                                     double bits, core::LinkSpec link,
+                                     const OverheadModel& overhead) {
+  DMLSCALE_RETURN_NOT_OK(
+      CheckCommon(static_cast<size_t>(std::max(num_nodes, 0)), bits, link));
+  if (num_nodes == 1) return start_time;
   double transfer = TransferSeconds(bits, link, overhead);
-  std::vector<double> have(static_cast<size_t>(num_nodes), -1.0);
-  double completion = start_time;
-
-  std::function<void(int, double)> deliver = [&](int node, double at) {
-    have[static_cast<size_t>(node)] = at;
-    completion = std::max(completion, at);
-    // Forward to children sequentially over this node's link.
-    double busy = at;
-    for (int child : {2 * node + 1, 2 * node + 2}) {
-      if (child >= num_nodes) continue;
-      busy += transfer;
-      double arrive = busy;
-      simulator.ScheduleAt(arrive, [&deliver, child, arrive] {
-        deliver(child, arrive);
-      });
-    }
-  };
-
-  simulator.ScheduleAt(start_time,
-                       [&deliver, start_time] { deliver(0, start_time); });
-  simulator.Run();
-  return completion;
-}
-
-// Engine port of TreeBroadcastLegacy; bit-identical by the same argument as
-// TreeReduceEngine.
-Result<double> TreeBroadcastEngine(int num_nodes, double start_time,
-                                   double bits, const core::LinkSpec& link,
-                                   const OverheadModel& overhead) {
-  double transfer = TransferSeconds(bits, link, overhead);
-  std::vector<double> have(static_cast<size_t>(num_nodes), -1.0);
   double completion = start_time;
 
   Engine engine(num_nodes, EngineOptions{});  // sequential mode
-  // Event: `node` holds the payload at event.x and forwards to children.
+  // Event: `node` holds the payload at event.x and forwards to its children
+  // sequentially over its own link.
   int deliver_type = -1;
   deliver_type = engine.AddHandler([&](const Event& event) {
     int node = event.node;
     double at = event.x;
-    have[static_cast<size_t>(node)] = at;
     completion = std::max(completion, at);
     double busy = at;
     for (int child : {2 * node + 1, 2 * node + 2}) {
@@ -203,33 +117,6 @@ Result<double> TreeBroadcastEngine(int num_nodes, double start_time,
   DMLSCALE_ASSIGN_OR_RETURN(EngineStats stats, engine.Run());
   (void)stats;
   return completion;
-}
-
-}  // namespace
-
-Result<double> SimulateTreeReduce(const std::vector<double>& ready_times,
-                                  double bits, core::LinkSpec link,
-                                  const OverheadModel& overhead,
-                                  SimBackend backend) {
-  DMLSCALE_RETURN_NOT_OK(CheckCommon(ready_times.size(), bits, link));
-  if (ready_times.size() == 1) return ready_times[0];
-  if (backend == SimBackend::kLegacy) {
-    return TreeReduceLegacy(ready_times, bits, link, overhead);
-  }
-  return TreeReduceEngine(ready_times, bits, link, overhead);
-}
-
-Result<double> SimulateTreeBroadcast(int num_nodes, double start_time,
-                                     double bits, core::LinkSpec link,
-                                     const OverheadModel& overhead,
-                                     SimBackend backend) {
-  DMLSCALE_RETURN_NOT_OK(
-      CheckCommon(static_cast<size_t>(std::max(num_nodes, 0)), bits, link));
-  if (num_nodes == 1) return start_time;
-  if (backend == SimBackend::kLegacy) {
-    return TreeBroadcastLegacy(num_nodes, start_time, bits, link, overhead);
-  }
-  return TreeBroadcastEngine(num_nodes, start_time, bits, link, overhead);
 }
 
 Result<double> SimulateTorrentBroadcast(int num_nodes, double start_time,

@@ -28,9 +28,9 @@ struct EngineExec {
 struct EngineOptions {
   /// Cross-node message lookahead, seconds — the clock-skew bound:
   ///
-  ///   0                 sequential mode. One global (time, seq) order,
-  ///                     exactly the legacy Simulator's; Send() delivers
-  ///                     immediately; exec.num_shards must be 1.
+  ///   0                 sequential mode. One global (time, schedule-order)
+  ///                     total order; Send() delivers immediately;
+  ///                     exec.num_shards must be 1.
   ///   > 0               windowed mode. Nodes step independently inside
   ///                     [T, T + lookahead) windows; every Send() must have
   ///                     delay >= lookahead so its arrival falls in a later
@@ -62,11 +62,11 @@ struct EngineStats {
   int64_t messages_delivered = 0;
 };
 
-/// The parallel discrete-event core (ROADMAP item 2): typed POD event
-/// records in per-node calendar queues feeding an indexed node heap, with an
-/// event-manager loop that either replays the legacy Simulator's global
-/// order (sequential mode) or steps fixed node shards through clock-skew-
-/// bounded windows on engine::ParallelFor (windowed mode).
+/// The parallel discrete-event core: typed POD event records in per-node
+/// calendar queues feeding an indexed node heap, with an event-manager loop
+/// that either runs one global (time, schedule-order) order (sequential
+/// mode) or steps fixed node shards through clock-skew-bounded windows on
+/// engine::ParallelFor (windowed mode).
 ///
 /// Determinism contract (windowed mode): a node's state may be touched only
 /// by handlers dispatched on that node; cross-node effects go through

@@ -5,7 +5,6 @@
 #include "core/hardware.h"
 #include "core/network.h"
 #include "core/topology.h"
-#include "sim/backend.h"
 
 namespace dmlscale::sim {
 
@@ -26,23 +25,20 @@ namespace dmlscale::sim {
 /// form cannot see (the sweep cross-checks they stay within 15% MAPE).
 double SimulateRoundSeconds(const core::TrafficRound& round, int n,
                             const core::LinkSpec& edge,
-                            const core::NetworkSpec& network,
-                            SimBackend backend = SimBackend::kEngine);
+                            const core::NetworkSpec& network);
 
 /// Sum of SimulateRoundSeconds over the pattern's rounds (BSP barrier
 /// between rounds), each scaled by its repeat weight.
 double SimulatePatternSeconds(const core::TrafficPattern& pattern, int n,
                               const core::LinkSpec& edge,
-                              const core::NetworkSpec& network,
-                              SimBackend backend = SimBackend::kEngine);
+                              const core::NetworkSpec& network);
 
 /// SimulatePatternSeconds over a CommunicationModel via its streaming
 /// ForEachRound hook — same sum, but O(round) memory, so pricing a 10k-node
 /// ring-allreduce never materializes its ~2*10^8-flow pattern.
 double SimulateCommSeconds(const core::CommunicationModel& comm, int n,
                            const core::LinkSpec& edge,
-                           const core::NetworkSpec& network,
-                           SimBackend backend = SimBackend::kEngine);
+                           const core::NetworkSpec& network);
 
 }  // namespace dmlscale::sim
 

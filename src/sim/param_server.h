@@ -7,7 +7,6 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "core/hardware.h"
-#include "sim/backend.h"
 #include "sim/overhead.h"
 
 namespace dmlscale::sim {
@@ -47,12 +46,9 @@ struct ParamServerStats {
   int64_t completed_updates = 0;
 };
 
-/// Runs the simulation with `n` workers. kEngine (the default) runs on
-/// sim::Engine's sequential mode; kLegacy on the closure-based Simulator.
-/// Both produce bit-identical stats (golden equivalence tests).
+/// Runs the simulation with `n` workers on sim::Engine's sequential mode.
 Result<ParamServerStats> SimulateParameterServer(
-    const ParamServerConfig& config, int n, Pcg32* rng,
-    SimBackend backend = SimBackend::kEngine);
+    const ParamServerConfig& config, int n, Pcg32* rng);
 
 }  // namespace dmlscale::sim
 

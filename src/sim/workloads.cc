@@ -7,7 +7,6 @@
 
 #include "sim/collectives.h"
 #include "sim/event_engine.h"
-#include "sim/simulator.h"
 
 namespace dmlscale::sim {
 
@@ -150,33 +149,13 @@ Result<double> SimulateGenericSuperstep(const SuperstepSimConfig& config,
   const double serialize =
       config.overhead.serialize_s_per_bit * config.message_bits;
   double total = 0.0;
-  if (config.backend == SimBackend::kLegacy) {
-    for (int step = 0; step < config.supersteps; ++step) {
-      Simulator simulator;
-      double barrier = 0.0;
-      // Scheduling delays every worker's start; the barrier falls when the
-      // slowest (jittered) worker finishes.
-      double start = config.overhead.SchedulingSeconds(n);
-      for (int worker = 0; worker < n; ++worker) {
-        double finish = start + compute * config.overhead.SampleJitter(rng);
-        simulator.ScheduleAt(finish, [&barrier, &simulator] {
-          barrier = std::max(barrier, simulator.Now());
-        });
-      }
-      simulator.Run();
-      simulator.ScheduleAt(barrier + comm + serialize, [] {});
-      total += simulator.Run();
-    }
-    return total / static_cast<double>(config.supersteps);
-  }
-
-  // Engine port. Jitter is drawn at SCHEDULE time in worker order — exactly
-  // the legacy draw sequence — so the backends consume identical RNG streams.
-  // Workers never communicate inside a superstep, so the engine runs in
-  // no-communication mode (one unbounded window); each worker's event writes
-  // only its own finish slot, making the run shard-safe, and the barrier is
-  // a max over the slots (order-independent), so any shard count yields the
-  // legacy value bit-for-bit.
+  // Scheduling delays every worker's start; jitter is drawn at schedule
+  // time in worker order, so the draw sequence is fixed. Workers never
+  // communicate inside a superstep, so the engine runs in no-communication
+  // mode (one unbounded window); each worker's event writes only its own
+  // finish slot, making the run shard-safe, and the barrier is a max over
+  // the slots (order-independent), so any shard count yields the same mean
+  // bit for bit.
   std::vector<double> finish_times(static_cast<size_t>(n), 0.0);
   for (int step = 0; step < config.supersteps; ++step) {
     EngineOptions options;

@@ -8,7 +8,6 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "core/hardware.h"
-#include "sim/backend.h"
 #include "sim/event_engine.h"
 #include "sim/overhead.h"
 
@@ -83,13 +82,10 @@ struct SuperstepSimConfig {
   OverheadModel overhead;
   /// Supersteps to average over (straggler jitter makes runs stochastic).
   int supersteps = 3;
-  /// Which discrete-event core runs the supersteps. Both backends are
-  /// bit-identical; kLegacy is the migration reference.
-  SimBackend backend = SimBackend::kEngine;
-  /// Engine execution knobs (kEngine only). Workers are independent inside
-  /// a superstep, so this runs in the engine's no-communication mode and
-  /// any shard count gives the identical mean.
-  EngineExec exec;
+  /// Engine execution knobs. Workers are independent inside a superstep,
+  /// so this runs in the engine's no-communication mode and any shard count
+  /// gives the identical mean.
+  EngineExec exec{};
 
   Status Validate() const;
 };

@@ -49,54 +49,20 @@ ScenarioAxisPoint CalibratedAxisPoint(const ScenarioAxisPoint& base,
   return point;
 }
 
-std::vector<ScenarioAxisPoint> ExpandNetworkAxis(
-    const ScenarioAxisPoint& base, const std::vector<NetworkAxisPoint>& axis) {
+std::vector<ScenarioAxisPoint> ExpandAxis(
+    const ScenarioAxisPoint& base, api::ModelParams ScenarioAxisPoint::*bag,
+    const std::vector<FacetAxisPoint>& axis) {
   std::vector<ScenarioAxisPoint> expanded;
   expanded.reserve(axis.size());
-  for (const NetworkAxisPoint& network : axis) {
+  for (const FacetAxisPoint& facet : axis) {
     ScenarioAxisPoint point = base;
-    point.label = base.label + "-" + network.label;
-    for (const auto& [key, value] : network.params.values()) {
-      point.comm_params.Set(key, value);
+    point.label = base.label + "-" + facet.label;
+    api::ModelParams& params = point.*bag;
+    for (const auto& [key, value] : facet.params.values()) {
+      params.Set(key, value);
     }
-    for (const auto& [key, value] : network.params.strings()) {
-      point.comm_params.Set(key, value);
-    }
-    expanded.push_back(std::move(point));
-  }
-  return expanded;
-}
-
-std::vector<ScenarioAxisPoint> ExpandFaultAxis(
-    const ScenarioAxisPoint& base, const std::vector<FaultAxisPoint>& axis) {
-  std::vector<ScenarioAxisPoint> expanded;
-  expanded.reserve(axis.size());
-  for (const FaultAxisPoint& faults : axis) {
-    ScenarioAxisPoint point = base;
-    point.label = base.label + "-" + faults.label;
-    for (const auto& [key, value] : faults.params.values()) {
-      point.fault_params.Set(key, value);
-    }
-    for (const auto& [key, value] : faults.params.strings()) {
-      point.fault_params.Set(key, value);
-    }
-    expanded.push_back(std::move(point));
-  }
-  return expanded;
-}
-
-std::vector<ScenarioAxisPoint> ExpandServingAxis(
-    const ScenarioAxisPoint& base, const std::vector<ServingAxisPoint>& axis) {
-  std::vector<ScenarioAxisPoint> expanded;
-  expanded.reserve(axis.size());
-  for (const ServingAxisPoint& serving : axis) {
-    ScenarioAxisPoint point = base;
-    point.label = base.label + "-" + serving.label;
-    for (const auto& [key, value] : serving.params.values()) {
-      point.serving_params.Set(key, value);
-    }
-    for (const auto& [key, value] : serving.params.strings()) {
-      point.serving_params.Set(key, value);
+    for (const auto& [key, value] : facet.params.strings()) {
+      params.Set(key, value);
     }
     expanded.push_back(std::move(point));
   }
@@ -187,14 +153,10 @@ Result<api::Scenario> SweepGrid::BuildScenario(const SweepCell& cell) const {
   if (!scenario.comm_model.empty()) {
     builder.Comm(scenario.comm_model, scenario.comm_params);
   }
-  const bool has_faults = !scenario.fault_params.values().empty() ||
-                          !scenario.fault_params.strings().empty();
-  if (has_faults) {
+  if (!scenario.fault_params.empty()) {
     builder.Faults(scenario.fault_params);
   }
-  const bool has_serving = !scenario.serving_params.values().empty() ||
-                           !scenario.serving_params.strings().empty();
-  if (has_serving) {
+  if (!scenario.serving_params.empty()) {
     builder.Serving(scenario.serving_params);
   }
   return builder.Build();

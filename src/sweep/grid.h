@@ -26,11 +26,11 @@ struct ScenarioAxisPoint {
   api::ModelParams comm_params;
   /// Failure-model keys of api/faults.h (`mtbf`, `straggler`, `recovery`,
   /// ...); the empty bag keeps the cell fault-free.
-  api::ModelParams fault_params;
+  api::ModelParams fault_params{};
   /// Serving keys of api/serving.h (`qps`, `batch_max`, `cache`,
   /// `hit_rate`, `replicas`, ...); the empty bag keeps the cell
   /// serving-free.
-  api::ModelParams serving_params;
+  api::ModelParams serving_params{};
   int supersteps = 1;
   /// Calibration coefficients baked into the built scenario
   /// (`Scenario::Builder::WithCalibration`); both 1.0 = the a-priori model.
@@ -48,52 +48,33 @@ ScenarioAxisPoint CalibratedAxisPoint(const ScenarioAxisPoint& base,
                                       double compute_coefficient,
                                       double comm_coefficient);
 
-/// One point on a TOPOLOGY ablation axis: a label plus the network keys of
-/// api/network.h (`topology`, `queue`, `oversubscription`, ...). An empty
-/// bag is the paper's ideal network.
-struct NetworkAxisPoint {
+/// One point on a facet ablation axis: a label plus the keys of one
+/// parameter bag — network keys of api/network.h (`topology`, `queue`,
+/// `oversubscription`, ...), fault keys of api/faults.h (`mtbf`, `mttr`,
+/// `straggler`, `recovery`, ...) or serving keys of api/serving.h (`qps`,
+/// `batch_max`, `cache`, `hit_rate`, `replicas`, ...). An empty bag leaves
+/// the facet as `base` has it (the ideal network, the perfect cluster, a
+/// serving-free cell).
+struct FacetAxisPoint {
   std::string label;
   api::ModelParams params;
 };
 
-/// Expands `base` into one scenario point per network: each copy is labeled
-/// "<base label>-<network label>" and has the network keys merged into its
-/// comm params (network keys already present in `base` are overridden).
-/// Appending the result to a grid turns the scenario axis into a
-/// scenario x topology product — the contention ablation of the sweep.
-std::vector<ScenarioAxisPoint> ExpandNetworkAxis(
-    const ScenarioAxisPoint& base, const std::vector<NetworkAxisPoint>& axis);
-
-/// One point on a FAILURE-MODEL ablation axis: a label plus the fault keys
-/// of api/faults.h (`mtbf`, `mttr`, `straggler`, `recovery`, ...). An empty
-/// bag is the perfect cluster.
-struct FaultAxisPoint {
-  std::string label;
-  api::ModelParams params;
-};
-
-/// Expands `base` into one scenario point per failure model: each copy is
-/// labeled "<base label>-<fault label>" and has the fault keys merged into
-/// its fault params (keys already present in `base` are overridden). The
-/// MTBF/straggler grid sweeps of the failure tour are this product.
-std::vector<ScenarioAxisPoint> ExpandFaultAxis(
-    const ScenarioAxisPoint& base, const std::vector<FaultAxisPoint>& axis);
-
-/// One point on a SERVING ablation axis: a label plus the serving keys of
-/// api/serving.h (`qps`, `batch_max`, `cache`, `hit_rate`, `replicas`,
-/// ...). An empty bag is a serving-free cell.
-struct ServingAxisPoint {
-  std::string label;
-  api::ModelParams params;
-};
-
-/// Expands `base` into one scenario point per serving configuration: each
-/// copy is labeled "<base label>-<serving label>" and has the serving keys
-/// merged into its serving params (keys already present in `base` are
-/// overridden). The batching/cache/replica grid sweeps of the serving tour
-/// are this product.
-std::vector<ScenarioAxisPoint> ExpandServingAxis(
-    const ScenarioAxisPoint& base, const std::vector<ServingAxisPoint>& axis);
+/// Expands `base` into one scenario point per axis point: each copy is
+/// labeled "<base label>-<point label>" and has the point's keys merged
+/// into its `bag` (keys already present in `base` are overridden).
+/// Appending the result to a grid turns the scenario axis into a product
+/// with the facet axis:
+///
+///   ExpandAxis(ring, &ScenarioAxisPoint::comm_params, networks)
+///       — the contention ablation (network keys live in the comm params);
+///   ExpandAxis(fig1, &ScenarioAxisPoint::fault_params, faults)
+///       — the MTBF/straggler grids of the failure tour;
+///   ExpandAxis(fig1, &ScenarioAxisPoint::serving_params, serving)
+///       — the batching/cache/replica grids of the serving tour.
+std::vector<ScenarioAxisPoint> ExpandAxis(
+    const ScenarioAxisPoint& base, api::ModelParams ScenarioAxisPoint::*bag,
+    const std::vector<FacetAxisPoint>& axis);
 
 /// One point on the hardware axis: a named cluster (node, link, max_nodes,
 /// shared_memory), typically from `api::presets`.

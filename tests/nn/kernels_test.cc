@@ -389,6 +389,49 @@ TEST(ThreadedTrainerTest, ShardedLossMatchesUnshardedWithinTolerance) {
     EXPECT_NEAR(whole.history.epoch_loss[e], sharded.history.epoch_loss[e],
                 1e-9);
   }
+
+  // Full-batch synchronous data parallelism (one shard per worker) follows
+  // the sequential batch-GD trajectory: same losses, same parameters.
+  Pcg32 data_rng(1);
+  Dataset data = SyntheticClassification(64, 6, 3, 0.3, &data_rng).value();
+  SoftmaxCrossEntropyLoss loss;
+  Pcg32 net_rng(2);
+  Network initial = Network::FullyConnected({6, 10, 3}, &net_rng);
+  constexpr int kIterations = 5;
+  Network sequential = initial.Clone();
+  SgdOptimizer seq_opt(0.1);
+  std::vector<double> seq_loss;
+  for (int iter = 0; iter < kIterations; ++iter) {
+    seq_loss.push_back(
+        TrainBatch(&sequential, data.features, data.targets, loss, &seq_opt)
+            .value());
+  }
+  for (int64_t shards : {1, 2, 3, 8}) {
+    Network parallel = initial.Clone();
+    SgdOptimizer par_opt(0.1);
+    auto history = TrainMiniBatches(&parallel, data, loss, &par_opt,
+                                    {.epochs = kIterations,
+                                     .batch_size = data.num_examples(),
+                                     .shuffle = false,
+                                     .threads = shards > 1 ? 2 : 1,
+                                     .shards_per_batch = shards},
+                                    nullptr);
+    ASSERT_TRUE(history.ok()) << history.status();
+    for (int iter = 0; iter < kIterations; ++iter) {
+      EXPECT_NEAR(history->epoch_loss[static_cast<size_t>(iter)],
+                  seq_loss[static_cast<size_t>(iter)], 1e-9)
+          << "shards=" << shards << " iter=" << iter;
+    }
+    std::vector<Tensor*> seq_params = sequential.Parameters();
+    std::vector<Tensor*> par_params = parallel.Parameters();
+    ASSERT_EQ(seq_params.size(), par_params.size());
+    for (size_t p = 0; p < seq_params.size(); ++p) {
+      for (int64_t i = 0; i < seq_params[p]->size(); ++i) {
+        EXPECT_NEAR((*seq_params[p])[i], (*par_params[p])[i], 1e-9)
+            << "shards=" << shards;
+      }
+    }
+  }
 }
 
 int64_t AllocationsForEpochs(int epochs, int threads, int64_t grain) {

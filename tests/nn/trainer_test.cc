@@ -111,6 +111,19 @@ TEST(TrainerTest, ShardsPerBatchYieldsExactCountsAndCounters) {
   EXPECT_EQ(capped_history->replica_reductions, 20);  // 4+4+4+4+4
   EXPECT_EQ(capped_history->bottleneck_examples, 5);  // 1 per batch
 
+  // More workers than examples: a 3-example full batch over 8 requested
+  // shards (threaded) runs as 3 one-example shards.
+  auto tiny = SyntheticClassification(3, 4, 2, 0.3, &rng).value();
+  Network tiny_net = Network::FullyConnected({4, 2}, &rng);
+  auto tiny_history = TrainMiniBatches(
+      &tiny_net, tiny, loss, &optimizer,
+      {.epochs = 1, .batch_size = 3, .shuffle = false, .threads = 2,
+       .shards_per_batch = 8},
+      nullptr);
+  ASSERT_TRUE(tiny_history.ok());
+  EXPECT_EQ(tiny_history->replica_reductions, 3);
+  EXPECT_GT(tiny_history->final_loss(), 0.0);
+
   Network serial = Network::FullyConnected({4, 6, 2}, &rng);
   auto serial_history = TrainMiniBatches(
       &serial, data, loss, &optimizer,

@@ -67,7 +67,7 @@ TEST(EventEngineTest, SequentialExecutesInTimeOrder) {
 
 TEST(EventEngineTest, SequentialFifoTieBreakingAcrossNodes) {
   // Three same-time events on three nodes execute in ScheduleAt call order
-  // — the legacy Simulator's (time, schedule-order) contract.
+  // — sequential mode's (time, schedule-order) contract.
   Engine engine(3, EngineOptions{});
   std::vector<int> order;
   const int type = engine.AddHandler(

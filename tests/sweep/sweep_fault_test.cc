@@ -1,7 +1,7 @@
-// The sweep's failure-model ablation surface: ExpandFaultAxis fans a
-// scenario over MTBF/straggler grids, fault cells land availability and
-// expected-slowdown columns in the CSV, the whole thing stays byte-identical
-// across thread counts, and a failed cell's one retry is recorded in the
+// The sweep's failure-model ablation surface: ExpandAxis over the fault
+// params fans a scenario over MTBF/straggler grids, fault cells land
+// availability and expected-slowdown columns in the CSV, the whole thing
+// stays byte-identical across thread counts, and a failed cell's one retry is recorded in the
 // status column.
 
 #include <string>
@@ -33,10 +33,10 @@ SweepGrid FaultGrid() {
   SweepGrid grid;
   ScenarioAxisPoint base = Fig1Point("fig1");
   grid.AddScenario(base);
-  std::vector<FaultAxisPoint> faults;
+  std::vector<FacetAxisPoint> faults;
   for (double mtbf : {10000.0, 40000.0}) {
     for (double sigma : {0.0, 0.3}) {
-      FaultAxisPoint point;
+      FacetAxisPoint point;
       point.label = "mtbf" + std::to_string(static_cast<int>(mtbf)) +
                     "-sig" + std::to_string(static_cast<int>(sigma * 10));
       point.params.Set("mtbf", mtbf);
@@ -46,7 +46,8 @@ SweepGrid FaultGrid() {
       faults.push_back(std::move(point));
     }
   }
-  for (ScenarioAxisPoint& point : ExpandFaultAxis(base, faults)) {
+  for (ScenarioAxisPoint& point :
+       ExpandAxis(base, &ScenarioAxisPoint::fault_params, faults)) {
     grid.AddScenario(std::move(point));
   }
   grid.AddHardware({.label = "gflop-gige",
@@ -54,16 +55,17 @@ SweepGrid FaultGrid() {
   return grid;
 }
 
-TEST(SweepFaultTest, ExpandFaultAxisMergesKeysAndLabels) {
+TEST(SweepFaultTest, FaultAxisMergesKeysAndLabels) {
   ScenarioAxisPoint base = Fig1Point("fig1");
   base.fault_params.Set("mttr", 30.0);  // overridden by the axis point
-  std::vector<FaultAxisPoint> axis;
-  FaultAxisPoint point;
+  std::vector<FacetAxisPoint> axis;
+  FacetAxisPoint point;
   point.label = "flaky";
   point.params.Set("mtbf", 5000.0).Set("mttr", 60.0);
   point.params.Set("recovery", "checkpoint-restart");
   axis.push_back(std::move(point));
-  std::vector<ScenarioAxisPoint> expanded = ExpandFaultAxis(base, axis);
+  std::vector<ScenarioAxisPoint> expanded =
+      ExpandAxis(base, &ScenarioAxisPoint::fault_params, axis);
   ASSERT_EQ(expanded.size(), 1u);
   EXPECT_EQ(expanded[0].label, "fig1-flaky");
   EXPECT_EQ(expanded[0].comm_model, "linear");

@@ -1,7 +1,7 @@
-// The sweep's serving ablation surface: ExpandServingAxis fans a scenario
-// over qps/replica grids, serving cells land utilization / quantile-latency
-// / Q3 columns in the CSV, serving-free cells leave them empty, and the
-// whole sweep stays byte-identical across thread counts.
+// The sweep's serving ablation surface: ExpandAxis over the serving params
+// fans a scenario over qps/replica grids, serving cells land utilization /
+// quantile-latency / Q3 columns in the CSV, serving-free cells leave them
+// empty, and the whole sweep stays byte-identical across thread counts.
 
 #include <string>
 #include <vector>
@@ -33,10 +33,10 @@ SweepGrid ServingGrid() {
   SweepGrid grid;
   ScenarioAxisPoint base = Fig1Point("fig1");
   grid.AddScenario(base);
-  std::vector<ServingAxisPoint> serving;
+  std::vector<FacetAxisPoint> serving;
   for (double qps : {1000.0, 2000.0}) {
     for (double replicas : {4.0, 8.0}) {
-      ServingAxisPoint point;
+      FacetAxisPoint point;
       point.label = "qps" + std::to_string(static_cast<int>(qps)) + "-r" +
                     std::to_string(static_cast<int>(replicas));
       point.params.Set("qps", qps);
@@ -47,7 +47,8 @@ SweepGrid ServingGrid() {
       serving.push_back(std::move(point));
     }
   }
-  for (ScenarioAxisPoint& point : ExpandServingAxis(base, serving)) {
+  for (ScenarioAxisPoint& point :
+       ExpandAxis(base, &ScenarioAxisPoint::serving_params, serving)) {
     grid.AddScenario(std::move(point));
   }
   grid.AddHardware({.label = "gflop-gige",
@@ -55,17 +56,18 @@ SweepGrid ServingGrid() {
   return grid;
 }
 
-TEST(SweepServingTest, ExpandServingAxisMergesKeysAndLabels) {
+TEST(SweepServingTest, ServingAxisMergesKeysAndLabels) {
   ScenarioAxisPoint base = Fig1Point("fig1");
   base.serving_params.Set("quantile", 0.5);  // overridden by the axis point
-  std::vector<ServingAxisPoint> axis;
-  ServingAxisPoint point;
+  std::vector<FacetAxisPoint> axis;
+  FacetAxisPoint point;
   point.label = "peak";
   point.params.Set("qps", 5000.0).Set("quantile", 0.99);
   point.params.Set("service_per_item", 0.001);
   point.params.Set("arrivals", "mmpp");
   axis.push_back(std::move(point));
-  std::vector<ScenarioAxisPoint> expanded = ExpandServingAxis(base, axis);
+  std::vector<ScenarioAxisPoint> expanded =
+      ExpandAxis(base, &ScenarioAxisPoint::serving_params, axis);
   ASSERT_EQ(expanded.size(), 1u);
   EXPECT_EQ(expanded[0].label, "fig1-peak");
   EXPECT_EQ(expanded[0].comm_model, "linear");

@@ -1,8 +1,8 @@
-// The sweep's topology ablation surface: ExpandNetworkAxis fans a scenario
-// over contended fabrics, the CSV's `comm` column keeps the decorated
-// labels distinguishable, the analytic-vs-DES cross-check stays within the
-// 15% MAPE bar, and the eval cache never conflates cells that differ only
-// in a network parameter (the oversubscription regression).
+// The sweep's topology ablation surface: ExpandAxis over the comm params
+// fans a scenario over contended fabrics, the CSV's `comm` column keeps the
+// decorated labels distinguishable, the analytic-vs-DES cross-check stays
+// within the 15% MAPE bar, and the eval cache never conflates cells that
+// differ only in a network parameter (the oversubscription regression).
 
 #include <sstream>
 #include <string>
@@ -35,14 +35,15 @@ SweepGrid ContendedGrid() {
   SweepGrid grid;
   ScenarioAxisPoint ring = RingPoint("ring");
   grid.AddScenario(ring);
-  std::vector<NetworkAxisPoint> networks;
+  std::vector<FacetAxisPoint> networks;
   networks.push_back({.label = "ft", .params = {}});
   networks.back().params.Set("topology", "fat-tree");
   networks.back().params.Set("oversubscription", 4.0);
   networks.back().params.Set("queue", "mm1").Set("load", 0.3);
   networks.push_back({.label = "star", .params = {}});
   networks.back().params.Set("topology", "star").Set("queue", "mm1");
-  for (ScenarioAxisPoint& point : ExpandNetworkAxis(ring, networks)) {
+  for (ScenarioAxisPoint& point :
+       ExpandAxis(ring, &ScenarioAxisPoint::comm_params, networks)) {
     grid.AddScenario(std::move(point));
   }
   grid.AddHardware({.label = "gflop-gige",
@@ -55,13 +56,13 @@ SweepGrid ContendedGrid() {
   return grid;
 }
 
-TEST(SweepTopologyTest, ExpandNetworkAxisMergesKeysAndLabels) {
+TEST(SweepTopologyTest, NetworkAxisMergesKeysIntoCommParams) {
   ScenarioAxisPoint base = RingPoint("ring");
-  std::vector<NetworkAxisPoint> networks;
+  std::vector<FacetAxisPoint> networks;
   networks.push_back({.label = "mesh", .params = {}});
   networks.back().params.Set("topology", "mesh2d").Set("mesh_width", 4.0);
   std::vector<ScenarioAxisPoint> expanded =
-      ExpandNetworkAxis(base, networks);
+      ExpandAxis(base, &ScenarioAxisPoint::comm_params, networks);
   ASSERT_EQ(expanded.size(), 1u);
   EXPECT_EQ(expanded[0].label, "ring-mesh");
   EXPECT_EQ(expanded[0].comm_model, "ring-allreduce");
