@@ -32,8 +32,11 @@ int main(int argc, char** argv) {
   double factor = args->GetDouble("speedup", 3.0);
   double growth = args->GetDouble("growth", 2.0);
   int max_nodes = static_cast<int>(args->GetInt("max-nodes", 64));
-  if (factor <= 0.0 || growth <= 0.0 || max_nodes < 4) {
-    std::cerr << "--speedup and --growth must be > 0, --max-nodes >= 4\n";
+  // Written as !(x > 0) so NaN is rejected too.
+  if (!(factor > 0.0) || !(growth > 0.0) || max_nodes < 4) {
+    std::cerr << Status::InvalidArgument(
+                     "--speedup and --growth must be > 0, --max-nodes >= 4")
+              << "\n";
     return 1;
   }
 

@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
     std::cerr << report.status() << "\n";
     return 1;
   }
-  const api::PlannerAnswer& q3 = *report->serving_replicas_answer;
+  const api::PlannerAnswer& q3 = *report->serving->replicas_answer;
   std::cout << "Q3: replicas for " << FormatDouble(qps, 6) << " QPS at p99 <= "
             << FormatDouble(slo_s * 1e3, 4) << " ms?\n";
   if (!q3.achievable) {

@@ -5,7 +5,6 @@
 #include <optional>
 #include <ostream>
 #include <string>
-
 #include <vector>
 
 #include "api/scenario.h"
@@ -19,13 +18,11 @@
 
 namespace dmlscale::api {
 
-/// What Analysis::Run should do beyond the speedup curve. Defaults answer
-/// the paper's core question (the curve and its optimum) only; planner
-/// questions and the discrete-event cross-check are opt-in.
+/// What Analysis::Run should do beyond the speedup curve over [1, the
+/// scenario cluster's max_nodes] and its optimum. Planner questions (target
+/// > 0; 0 = not asked, NaN/inf/negative rejected) and the discrete-event
+/// cross-check are opt-in.
 struct AnalysisOptions {
-  /// Node counts to evaluate: [1, max_nodes]. 0 = the scenario cluster's
-  /// max_nodes.
-  int max_nodes = 0;
   /// Reference node count for speedup (1 = strong scaling from one node).
   int reference_n = 1;
 
@@ -37,6 +34,7 @@ struct AnalysisOptions {
   /// scales the computation term linearly and leaves the communication
   /// payload unchanged (more data, same model size).
   double workload_growth = 0.0;
+  /// Today's fleet for Q1/Q2 and the Young/Daly interval; in [1, max_nodes].
   int current_nodes = 1;
 
   /// > 0: answer "how many machines finish an iteration within this many
@@ -51,11 +49,6 @@ struct AnalysisOptions {
   /// (serve::SimulateServing) and reports the analytic-vs-simulated mean
   /// latency deviation.
   bool simulate = false;
-  /// Measured requests per serving DES run, after `serving_sim_warmup`
-  /// discarded ones (only read when simulate is set on a serving-aware
-  /// scenario).
-  int64_t serving_sim_requests = 20000;
-  int64_t serving_sim_warmup = 2000;
   /// Framework overheads injected into the simulation; None() makes the
   /// simulated curve coincide with the analytic one.
   sim::OverheadModel overhead;
@@ -64,14 +57,8 @@ struct AnalysisOptions {
   /// Base seed of the simulation. Every node count draws from its own
   /// generator seeded by DeriveSeed(sim_seed, n), so the simulated point at
   /// `n` is a pure function of (scenario, options, n) — independent of
-  /// evaluation order, of max_nodes, and of `threads` below.
+  /// evaluation order and of max_nodes.
   uint64_t sim_seed = 42;
-
-  /// Worker threads for the per-n simulation fan-out (>= 1; 1 = inline).
-  /// Thanks to the per-n seeding the report is byte-identical for every
-  /// thread count. Analysis::Run spawns its own short-lived pool, so sweep
-  /// runners that already parallelize across cells should leave this at 1.
-  int threads = 1;
 
   /// Optional shared memoization cache for the scenario's ComputeSeconds /
   /// CommSeconds evaluations (not owned; nullptr = no caching). Keys embed
@@ -107,7 +94,49 @@ struct ServingRateAnswer {
   std::string note;
 };
 
-/// Everything the paper asks of one scenario, in one struct.
+/// The failure facet of a report, present when the scenario carries an
+/// enabled failure model (Scenario::fault_aware()).
+struct FaultReport {
+  /// Steady-state fraction of each node that is up, mtbf/(mtbf+mttr).
+  double availability = 1.0;
+  /// Expected completion under failures divided by the fault-free time, at
+  /// the fault-free optimal_nodes (>= 1; how much the failure processes
+  /// stretch the optimum the paper's analysis would pick).
+  std::optional<double> expected_slowdown;
+  /// argmin over the curve's node counts of the EXPECTED completion time —
+  /// failures shift the optimum because the system crash rate grows with n.
+  /// Absent when no evaluated count is feasible (e.g. saturated replica).
+  std::optional<int> optimal_nodes;
+  /// Young/Daly sqrt(2*C*MTBF_sys) at options.current_nodes, when the spec
+  /// has both a crash process and a checkpoint cost.
+  std::optional<double> checkpoint_interval_s;
+};
+
+/// The serving facet of a report, present when the scenario carries a
+/// serving cluster (Scenario::serving_aware()).
+struct ServingReport {
+  /// The closed-form pipeline's full answer (Erlang-C over the replica
+  /// pool, batching and cache blended in).
+  serve::ServingEstimate estimate;
+  /// The spec's planning quantile, echoed for rendering ("p99").
+  double quantile = 0.99;
+  /// Present when the spec asked the replica-planning question
+  /// (target_qps > 0 with a latency SLO): the serving Q3, answered
+  /// analytically; `nodes` carries REPLICAS.
+  std::optional<PlannerAnswer> replicas_answer;
+  /// Present when the spec carries a latency SLO (target_latency_s > 0):
+  /// the highest offered rate the declared replica count sustains within
+  /// it — the other direction of the serving Q3.
+  std::optional<ServingRateAnswer> max_qps_answer;
+  /// Present when options.simulate was set: the serving DES run, and the
+  /// percent deviation of the analytic mean latency from it (set only
+  /// alongside `sim`, when the DES mean is > 0).
+  std::optional<serve::ServingSimStats> sim;
+  std::optional<double> model_vs_sim_pct;
+};
+
+/// Everything the paper asks of one scenario, in one struct: the core
+/// answers at the top level, one section per optional scenario facet.
 struct AnalysisReport {
   std::string scenario_name;
 
@@ -131,9 +160,11 @@ struct AnalysisReport {
   double peak_speedup = 1.0;
   bool scalable = false;
 
-  /// Present when the corresponding option was requested.
+  /// Present when the corresponding option was requested (Q1, Q2, and the
+  /// failure-aware Q3, which fault-free scenarios answer too).
   std::optional<PlannerAnswer> speedup_answer;
   std::optional<PlannerAnswer> growth_answer;
+  std::optional<PlannerAnswer> fault_target_answer;
 
   /// Present when options.simulate was set.
   std::optional<core::SpeedupCurve> simulated;
@@ -152,44 +183,8 @@ struct AnalysisReport {
   std::vector<core::TimingSample> measured;
   std::optional<double> model_vs_measured_mape;
 
-  /// Present when the scenario carries an enabled failure model
-  /// (Scenario::fault_aware()); fault-free reports stay byte-identical.
-  /// Steady-state fraction of each node that is up, mtbf/(mtbf+mttr).
-  std::optional<double> availability;
-  /// Expected completion under failures divided by the fault-free time, at
-  /// the fault-free optimal_nodes (>= 1; how much the failure processes
-  /// stretch the optimum the paper's analysis would pick).
-  std::optional<double> expected_slowdown;
-  /// argmin over the curve's node counts of the EXPECTED completion time —
-  /// failures shift the optimum because the system crash rate grows with n.
-  /// Absent when no evaluated count is feasible (e.g. saturated replica).
-  std::optional<int> fault_optimal_nodes;
-  /// Young/Daly sqrt(2*C*MTBF_sys) at options.current_nodes, when the spec
-  /// has both a crash process and a checkpoint cost.
-  std::optional<double> optimal_checkpoint_interval_s;
-  /// Present when options.fault_target_seconds was requested (Q3).
-  std::optional<PlannerAnswer> fault_target_answer;
-
-  /// Present when the scenario carries a serving cluster
-  /// (Scenario::serving_aware()); serving-free reports stay byte-identical.
-  /// The closed-form pipeline's full answer (Erlang-C over the replica
-  /// pool, batching and cache blended in).
-  std::optional<serve::ServingEstimate> serving;
-  /// The spec's planning quantile, echoed for rendering ("p99").
-  std::optional<double> serving_quantile;
-  /// Present when the spec asked the replica-planning question
-  /// (target_qps > 0 with a latency SLO): the serving Q3, answered
-  /// analytically; `nodes` carries REPLICAS.
-  std::optional<PlannerAnswer> serving_replicas_answer;
-  /// Present when the spec carries a latency SLO (target_latency_s > 0):
-  /// the highest offered rate the declared replica count sustains within
-  /// it — the other direction of the serving Q3.
-  std::optional<ServingRateAnswer> serving_max_qps_answer;
-  /// Present when options.simulate was set on a serving-aware scenario:
-  /// the serving DES run and the percent deviation of the analytic mean
-  /// latency from the simulated one.
-  std::optional<serve::ServingSimStats> serving_sim;
-  std::optional<double> serving_model_vs_sim_pct;
+  std::optional<FaultReport> faults;
+  std::optional<ServingReport> serving;
 };
 
 /// The unified front door: speedup analysis, capacity planning, and the
@@ -201,8 +196,8 @@ class Analysis {
 };
 
 /// Renders the report in the bench drivers' table style: the speedup table
-/// (with the simulated column when present), the optimum line, and any
-/// planner answers.
+/// (with the simulated and measured columns when present), the optimum
+/// line and the planner answers, then one block per present facet section.
 void PrintReport(const AnalysisReport& report, std::ostream& os);
 
 }  // namespace dmlscale::api

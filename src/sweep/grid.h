@@ -85,9 +85,8 @@ struct HardwareAxisPoint {
 
 /// One point on the analysis-options axis: what Analysis::Run should do for
 /// every scenario x hardware combination (planner questions, simulation,
-/// overheads, ...). `options.sim_seed`, `options.threads`, and
-/// `options.eval_cache` are owned by the SweepRunner and overwritten per
-/// cell; set the rest freely.
+/// overheads, ...). `options.sim_seed` and `options.eval_cache` are owned
+/// by the SweepRunner and overwritten per cell; set the rest freely.
 struct OptionsAxisPoint {
   std::string label;
   api::AnalysisOptions options;

@@ -1,7 +1,9 @@
 #include "sweep/report.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/csv_writer.h"
 #include "common/string_util.h"
@@ -16,14 +18,9 @@ std::string PlannerCell(const std::optional<api::PlannerAnswer>& answer) {
   return answer->achievable ? std::to_string(answer->nodes) : "n/a";
 }
 
-std::string MapeCell(const api::AnalysisReport& report) {
-  if (!report.model_vs_sim_mape.has_value()) return "";
-  return FormatDouble(*report.model_vs_sim_mape, 3);
-}
-
-std::string MeasuredMapeCell(const api::AnalysisReport& report) {
-  if (!report.model_vs_measured_mape.has_value()) return "";
-  return FormatDouble(*report.model_vs_measured_mape, 3);
+std::string RateCell(const std::optional<api::ServingRateAnswer>& answer) {
+  if (!answer.has_value()) return "";
+  return answer->achievable ? FormatDouble(answer->qps, 6) : "n/a";
 }
 
 std::string OptionalCell(const std::optional<double>& value, int digits) {
@@ -31,20 +28,22 @@ std::string OptionalCell(const std::optional<double>& value, int digits) {
   return FormatDouble(*value, digits);
 }
 
-std::string ServingUtilizationCell(const api::AnalysisReport& report) {
-  if (!report.serving.has_value()) return "";
-  return FormatDouble(report.serving->utilization, 4);
+/// availability, expected_slowdown: empty for fault-free cells.
+std::vector<std::string> FaultCells(const api::AnalysisReport& report) {
+  if (!report.faults.has_value()) return {"", ""};
+  return {FormatDouble(report.faults->availability, 4),
+          OptionalCell(report.faults->expected_slowdown, 4)};
 }
 
-std::string ServingLatencyCell(const api::AnalysisReport& report) {
-  if (!report.serving.has_value()) return "";
-  return FormatDouble(report.serving->quantile_latency_s, 6);
-}
-
-std::string ServingMaxQpsCell(const api::AnalysisReport& report) {
-  if (!report.serving_max_qps_answer.has_value()) return "";
-  const api::ServingRateAnswer& answer = *report.serving_max_qps_answer;
-  return answer.achievable ? FormatDouble(answer.qps, 6) : "n/a";
+/// serving_utilization, serving_quantile_latency_s, q3_replicas, q3_max_qps:
+/// empty for serving-free cells.
+std::vector<std::string> ServingCells(const api::AnalysisReport& report) {
+  if (!report.serving.has_value()) return {"", "", "", ""};
+  const api::ServingReport& serving = *report.serving;
+  return {FormatDouble(serving.estimate.utilization, 4),
+          FormatDouble(serving.estimate.quantile_latency_s, 6),
+          PlannerCell(serving.replicas_answer),
+          RateCell(serving.max_qps_answer)};
 }
 
 // Efficiency at the curve's optimum, via the curve's own definition so the
@@ -103,12 +102,12 @@ std::string SweepReport::ToCsv() const {
                   FormatDouble(r.peak_speedup, 4),
                   FormatDouble(PeakEfficiency(r), 4),
                   r.scalable ? "yes" : "no", PlannerCell(r.speedup_answer),
-                  PlannerCell(r.growth_answer), MapeCell(r),
-                  MeasuredMapeCell(r), OptionalCell(r.availability, 4),
-                  OptionalCell(r.expected_slowdown, 4),
-                  ServingUtilizationCell(r), ServingLatencyCell(r),
-                  PlannerCell(r.serving_replicas_answer),
-                  ServingMaxQpsCell(r)});
+                  PlannerCell(r.growth_answer),
+                  OptionalCell(r.model_vs_sim_mape, 3),
+                  OptionalCell(r.model_vs_measured_mape, 3)});
+      for (const auto& facet : {FaultCells(r), ServingCells(r)}) {
+        row.insert(row.end(), facet.begin(), facet.end());
+      }
     } else {
       std::string status = cell.status.ToString();
       if (cell.attempts > 1) {
@@ -146,7 +145,7 @@ void SweepReport::PrintSummary(std::ostream& os, size_t top_k) const {
         FormatDouble(r.peak_speedup, 4),
         FormatDouble(PeakEfficiency(r), 4)};
     if (with_mape) {
-      std::string mape = MapeCell(r);
+      std::string mape = OptionalCell(r.model_vs_sim_mape, 3);
       row.push_back(mape.empty() ? "n/a" : mape);
     }
     table.AddRow(std::move(row));

@@ -60,7 +60,8 @@ struct SweepReport {
   ///   cell,scenario,hardware,options,comm,status,t_ref_s,optimal_nodes,
   ///   first_local_peak,peak_speedup,peak_efficiency,scalable,
   ///   q1_nodes,q2_nodes,mape_pct,measured_mape_pct,availability,
-  ///   expected_slowdown
+  ///   expected_slowdown,serving_utilization,serving_quantile_latency_s,
+  ///   q3_replicas,q3_max_qps
   /// `comm` is the decorated communication label (with its @topology/queue
   /// suffix on contended cells), so topology-ablation rows stay
   /// distinguishable even under shared scenario labels. Numeric columns are
@@ -68,7 +69,8 @@ struct SweepReport {
   /// not asked and "n/a" when unachievable; mape_pct is empty when the cell
   /// did not simulate; measured_mape_pct is empty unless the cell's options
   /// carried measured timing samples; availability/expected_slowdown are
-  /// empty for fault-free cells. A failed cell's status records its retry
+  /// empty for fault-free cells and the serving/q3 columns for
+  /// serving-free ones. A failed cell's status records its retry
   /// as a trailing " (attempts=2)".
   std::string ToCsv() const;
 

@@ -34,7 +34,6 @@ Result<SweepReport> SweepRunner::Run(const SweepGrid& grid) const {
     api::AnalysisOptions options = grid.options_of(cell).options;
     options.sim_seed =
         DeriveSeed(options_.base_seed, static_cast<uint64_t>(cell.index));
-    options.threads = 1;
     options.eval_cache = options_.use_eval_cache ? &cache : nullptr;
     auto analysis = api::Analysis::Run(*scenario, options);
     if (!analysis.ok()) return analysis.status();

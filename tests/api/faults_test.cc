@@ -159,15 +159,16 @@ TEST(AnalysisFaultsTest, FaultAwareReportCarriesTheFailureColumns) {
   ASSERT_TRUE(scenario.ok());
   auto report = Analysis::Run(*scenario);
   ASSERT_TRUE(report.ok());
-  ASSERT_TRUE(report->availability.has_value());
-  EXPECT_NEAR(*report->availability, 30000.0 / 30060.0, 1e-12);
-  ASSERT_TRUE(report->expected_slowdown.has_value());
-  EXPECT_GT(*report->expected_slowdown, 1.0);
-  ASSERT_TRUE(report->fault_optimal_nodes.has_value());
-  EXPECT_GE(*report->fault_optimal_nodes, 1);
+  ASSERT_TRUE(report->faults.has_value());
+  const FaultReport& faults = *report->faults;
+  EXPECT_NEAR(faults.availability, 30000.0 / 30060.0, 1e-12);
+  ASSERT_TRUE(faults.expected_slowdown.has_value());
+  EXPECT_GT(*faults.expected_slowdown, 1.0);
+  ASSERT_TRUE(faults.optimal_nodes.has_value());
+  EXPECT_GE(*faults.optimal_nodes, 1);
   // Crashes enabled and checkpoints priced: the Young/Daly answer appears.
-  ASSERT_TRUE(report->optimal_checkpoint_interval_s.has_value());
-  EXPECT_GT(*report->optimal_checkpoint_interval_s, 0.0);
+  ASSERT_TRUE(faults.checkpoint_interval_s.has_value());
+  EXPECT_GT(*faults.checkpoint_interval_s, 0.0);
 }
 
 TEST(AnalysisFaultsTest, FaultFreeReportStaysClean) {
@@ -175,10 +176,7 @@ TEST(AnalysisFaultsTest, FaultFreeReportStaysClean) {
   ASSERT_TRUE(scenario.ok());
   auto report = Analysis::Run(*scenario);
   ASSERT_TRUE(report.ok());
-  EXPECT_FALSE(report->availability.has_value());
-  EXPECT_FALSE(report->expected_slowdown.has_value());
-  EXPECT_FALSE(report->fault_optimal_nodes.has_value());
-  EXPECT_FALSE(report->optimal_checkpoint_interval_s.has_value());
+  EXPECT_FALSE(report->faults.has_value());
   EXPECT_FALSE(report->fault_target_answer.has_value());
 }
 
@@ -199,6 +197,20 @@ TEST(AnalysisFaultsTest, FaultTargetQuestionIsAnswered) {
   ASSERT_TRUE(hopeless->fault_target_answer.has_value());
   EXPECT_FALSE(hopeless->fault_target_answer->achievable);
   EXPECT_FALSE(hopeless->fault_target_answer->note.empty());
+}
+
+TEST(AnalysisFaultsTest, CheckpointIntervalRejectsAnOutOfRangeFleet) {
+  // The Young/Daly interval is priced at current_nodes: a fleet beyond the
+  // cluster is an error, not a silently missing answer.
+  auto scenario = Fig1Builder().Faults(CrashParams()).Build();
+  ASSERT_TRUE(scenario.ok());
+  AnalysisOptions options;
+  options.current_nodes = scenario->cluster().max_nodes + 1;
+  auto report = Analysis::Run(*scenario, options);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(report.status().message().find("current_nodes"),
+            std::string::npos);
 }
 
 TEST(AnalysisFaultsTest, PrintReportAddsFailureLinesOnlyWhenFaultAware) {

@@ -244,12 +244,12 @@ TEST(AnalysisServingTest, ServingAwareReportCarriesTheServingFields) {
   auto report = Analysis::Run(*scenario);
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->serving.has_value());
-  EXPECT_NEAR(report->serving->utilization, 0.5, 1e-12);  // 2000/(4*1000)
-  EXPECT_GT(report->serving->mean_latency_s, 0.001);
-  EXPECT_GT(report->serving->quantile_latency_s,
-            report->serving->mean_latency_s);
-  EXPECT_EQ(report->serving_quantile.value_or(0.0), 0.99);
-  EXPECT_FALSE(report->serving_sim.has_value());
+  const serve::ServingEstimate& estimate = report->serving->estimate;
+  EXPECT_NEAR(estimate.utilization, 0.5, 1e-12);  // 2000/(4*1000)
+  EXPECT_GT(estimate.mean_latency_s, 0.001);
+  EXPECT_GT(estimate.quantile_latency_s, estimate.mean_latency_s);
+  EXPECT_EQ(report->serving->quantile, 0.99);
+  EXPECT_FALSE(report->serving->sim.has_value());
 }
 
 TEST(AnalysisServingTest, ServingFreeReportStaysClean) {
@@ -258,11 +258,6 @@ TEST(AnalysisServingTest, ServingFreeReportStaysClean) {
   auto report = Analysis::Run(*scenario);
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->serving.has_value());
-  EXPECT_FALSE(report->serving_quantile.has_value());
-  EXPECT_FALSE(report->serving_replicas_answer.has_value());
-  EXPECT_FALSE(report->serving_max_qps_answer.has_value());
-  EXPECT_FALSE(report->serving_sim.has_value());
-  EXPECT_FALSE(report->serving_model_vs_sim_pct.has_value());
 }
 
 TEST(AnalysisServingTest, SaturatedSpecFailsWithTheErlangAnswer) {
@@ -286,15 +281,17 @@ TEST(AnalysisServingTest, Q3IsAnsweredInBothDirections) {
   auto report = Analysis::Run(*scenario);
   ASSERT_TRUE(report.ok());
 
-  ASSERT_TRUE(report->serving_replicas_answer.has_value());
-  ASSERT_TRUE(report->serving_replicas_answer->achievable);
+  ASSERT_TRUE(report->serving.has_value());
+  const ServingReport& serving = *report->serving;
+  ASSERT_TRUE(serving.replicas_answer.has_value());
+  ASSERT_TRUE(serving.replicas_answer->achievable);
   // 6000 qps needs at least 7 replicas of 1000 qps capacity each.
-  EXPECT_GE(report->serving_replicas_answer->nodes, 7);
+  EXPECT_GE(serving.replicas_answer->nodes, 7);
 
-  ASSERT_TRUE(report->serving_max_qps_answer.has_value());
-  ASSERT_TRUE(report->serving_max_qps_answer->achievable);
-  EXPECT_GT(report->serving_max_qps_answer->qps, 2000.0);
-  EXPECT_LT(report->serving_max_qps_answer->qps, 4000.0);  // saturation cap
+  ASSERT_TRUE(serving.max_qps_answer.has_value());
+  ASSERT_TRUE(serving.max_qps_answer->achievable);
+  EXPECT_GT(serving.max_qps_answer->qps, 2000.0);
+  EXPECT_LT(serving.max_qps_answer->qps, 4000.0);  // saturation cap
 }
 
 TEST(AnalysisServingTest, SimulateCrossChecksTheAnalyticModel) {
@@ -303,14 +300,13 @@ TEST(AnalysisServingTest, SimulateCrossChecksTheAnalyticModel) {
   AnalysisOptions options;
   options.simulate = true;
   options.sim_supersteps = 2;
-  options.serving_sim_requests = 12000;
-  options.serving_sim_warmup = 1200;
   auto report = Analysis::Run(*scenario, options);
   ASSERT_TRUE(report.ok());
-  ASSERT_TRUE(report->serving_sim.has_value());
-  EXPECT_EQ(report->serving_sim->cache_hits, 0u);
-  ASSERT_TRUE(report->serving_model_vs_sim_pct.has_value());
-  EXPECT_LT(*report->serving_model_vs_sim_pct, 15.0);
+  ASSERT_TRUE(report->serving.has_value());
+  ASSERT_TRUE(report->serving->sim.has_value());
+  EXPECT_EQ(report->serving->sim->cache_hits, 0u);
+  ASSERT_TRUE(report->serving->model_vs_sim_pct.has_value());
+  EXPECT_LT(*report->serving->model_vs_sim_pct, 15.0);
 }
 
 TEST(AnalysisServingTest, PrintReportAddsServingLinesOnlyWhenServingAware) {

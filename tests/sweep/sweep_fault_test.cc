@@ -85,13 +85,13 @@ TEST(SweepFaultTest, FaultCellsFillTheNewCsvColumns) {
   int fault_cells = 0;
   for (const SweepCellResult& cell : report->cells) {
     if (cell.scenario_label == "fig1") {
-      EXPECT_FALSE(cell.report.availability.has_value());
+      EXPECT_FALSE(cell.report.faults.has_value());
       continue;
     }
-    ASSERT_TRUE(cell.report.availability.has_value()) << cell.scenario_label;
-    EXPECT_GT(*cell.report.availability, 0.99);
-    ASSERT_TRUE(cell.report.expected_slowdown.has_value());
-    EXPECT_GT(*cell.report.expected_slowdown, 1.0);
+    ASSERT_TRUE(cell.report.faults.has_value()) << cell.scenario_label;
+    EXPECT_GT(cell.report.faults->availability, 0.99);
+    ASSERT_TRUE(cell.report.faults->expected_slowdown.has_value());
+    EXPECT_GT(*cell.report.faults->expected_slowdown, 1.0);
     ++fault_cells;
   }
   EXPECT_EQ(fault_cells, 4);

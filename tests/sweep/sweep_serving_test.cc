@@ -87,18 +87,17 @@ TEST(SweepServingTest, ServingCellsFillTheNewCsvColumns) {
   for (const SweepCellResult& cell : report->cells) {
     if (cell.scenario_label == "fig1") {
       EXPECT_FALSE(cell.report.serving.has_value());
-      EXPECT_FALSE(cell.report.serving_replicas_answer.has_value());
-      EXPECT_FALSE(cell.report.serving_max_qps_answer.has_value());
       continue;
     }
     ASSERT_TRUE(cell.report.serving.has_value()) << cell.scenario_label;
-    EXPECT_GT(cell.report.serving->utilization, 0.0);
-    EXPECT_LT(cell.report.serving->utilization, 1.0);
-    EXPECT_GT(cell.report.serving->quantile_latency_s, 0.0);
-    ASSERT_TRUE(cell.report.serving_replicas_answer.has_value());
-    EXPECT_TRUE(cell.report.serving_replicas_answer->achievable);
-    ASSERT_TRUE(cell.report.serving_max_qps_answer.has_value());
-    EXPECT_TRUE(cell.report.serving_max_qps_answer->achievable);
+    const api::ServingReport& serving = *cell.report.serving;
+    EXPECT_GT(serving.estimate.utilization, 0.0);
+    EXPECT_LT(serving.estimate.utilization, 1.0);
+    EXPECT_GT(serving.estimate.quantile_latency_s, 0.0);
+    ASSERT_TRUE(serving.replicas_answer.has_value());
+    EXPECT_TRUE(serving.replicas_answer->achievable);
+    ASSERT_TRUE(serving.max_qps_answer.has_value());
+    EXPECT_TRUE(serving.max_qps_answer->achievable);
     ++serving_cells;
   }
   EXPECT_EQ(serving_cells, 4);
@@ -108,6 +107,29 @@ TEST(SweepServingTest, ServingCellsFillTheNewCsvColumns) {
       csv.find("serving_utilization,serving_quantile_latency_s,q3_replicas,"
                "q3_max_qps"),
       std::string::npos);
+
+  // A cell carrying both facets plus the Q1/Q2 questions fills every
+  // optional column at once; its row is pinned byte for byte.
+  ScenarioAxisPoint both = Fig1Point("fig1-faulty-serving");
+  both.fault_params.Set("mtbf", 30000.0).Set("mttr", 60.0);
+  both.fault_params.Set("checkpoint_cost", 20.0);
+  both.serving_params.Set("qps", 2000.0).Set("replicas", 4.0);
+  both.serving_params.Set("service_per_item", 0.001);
+  both.serving_params.Set("target_qps", 2000.0).Set("target_latency", 0.02);
+  SweepGrid grid;
+  grid.AddScenario(both);
+  grid.AddHardware({.label = "gflop-gige",
+                    .cluster = api::presets::Fig1Cluster(16)});
+  api::AnalysisOptions planner;
+  planner.target_speedup = 3.0;
+  planner.workload_growth = 2.0;
+  grid.AddOptions({.label = "planner", .options = planner});
+  auto pinned = SweepRunner().Run(grid);
+  ASSERT_TRUE(pinned.ok());
+  std::string pinned_csv = pinned->ToCsv();
+  EXPECT_EQ(pinned_csv.substr(pinned_csv.find('\n') + 1),
+            "0,fig1-faulty-serving,gflop-gige,planner,linear,ok,196,14,14,7,"
+            "0.5,yes,4,3,,,0.998,1.783,0.5,0.00476425,3,3763.08\n");
 }
 
 TEST(SweepServingTest, ServingFreeCellsLeaveTheServingColumnsEmpty) {
