@@ -7,10 +7,11 @@
 //
 // items_per_second is MEASURED REQUESTS per second of wall time — the
 // headline number reads directly as simulator throughput in its natural
-// unit. The engine event count rides along as a counter (each backend
-// request is several events: arrive, enqueue, close, depart). The
-// determinism contract is covered by tests/serve/serving_sim_test.cc, not
-// here.
+// unit. UseRealTime() makes that literal: without it the sharded rows
+// divided by the main thread's CPU time and overstated parallel speed.
+// The engine event count rides along as a counter (each backend request
+// is several events: arrive, enqueue, close, depart). The determinism
+// contract is covered by tests/serve/serving_sim_test.cc, not here.
 
 #include <benchmark/benchmark.h>
 
@@ -80,9 +81,21 @@ BENCHMARK(BM_ServeFleet)
     ->Args({100, 1})
     ->Args({1000, 1})
     ->Args({1000, 4})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace dmlscale
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+#ifdef NDEBUG
+  benchmark::AddCustomContext("dmlscale_build_type", "release");
+#else
+  benchmark::AddCustomContext("dmlscale_build_type", "debug");
+#endif
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -5,13 +5,15 @@
 // checked-in baseline and CI uploads a fresh run as an artifact on every
 // push (next to the nn kernel JSON).
 //
-// items_per_second is ENGINE EVENTS per second — the engine's own
-// events_executed counter, not iterations — so the headline number reads
-// directly as simulator throughput. The ring benchmarks cap max_steps to
-// keep one iteration at ~2M events (full 2(n-1) steps at n = 10k is
-// ~2 * 10^8 events, seconds of wall time: right for a release gate, too
-// slow for a repeated-iteration benchmark). The determinism contract is
-// covered by tests/sim/engine_determinism_test.cc, not here.
+// items_per_second is ENGINE EVENTS per second of wall time
+// (UseRealTime(), so sharded rows are not divided by the main thread's CPU
+// time) — the engine's own events_executed counter, not iterations — so
+// the headline number reads directly as simulator throughput. The ring
+// benchmarks cap max_steps to keep one iteration at ~2M events (full
+// 2(n-1) steps at n = 10k is ~2 * 10^8 events, seconds of wall time: right
+// for a release gate, too slow for a repeated-iteration benchmark). The
+// determinism contract is covered by tests/sim/engine_determinism_test.cc,
+// not here.
 
 #include <benchmark/benchmark.h>
 
@@ -84,7 +86,8 @@ BENCHMARK(BM_SimRingAllReduce)
     ->Args({1000, 1})
     ->Args({10000, 1})
     ->Args({10000, 4})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Asynchronous parameter server: `nodes` workers push into one server for
 // 50 steps each (~2 events per worker-step). Arg(0) = workers,
@@ -122,9 +125,21 @@ BENCHMARK(BM_SimParameterServer)
     ->Args({1000, 1})
     ->Args({10000, 1})
     ->Args({10000, 4})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace dmlscale
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+#ifdef NDEBUG
+  benchmark::AddCustomContext("dmlscale_build_type", "release");
+#else
+  benchmark::AddCustomContext("dmlscale_build_type", "debug");
+#endif
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -1,7 +1,6 @@
 #include "api/network.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,16 +39,6 @@ Status RequireOwner(const ModelParams& params, const std::string& key,
   return Status::OK();
 }
 
-Result<int> IntegerParam(const ModelParams& params, const std::string& key,
-                         double def, double min) {
-  double value = params.GetOr(key, def);
-  if (value < min || value != std::floor(value)) {
-    return Status::InvalidArgument(key + " must be an integer >= " +
-                                   FormatDouble(min, 0));
-  }
-  return static_cast<int>(value);
-}
-
 }  // namespace
 
 Result<core::NetworkSpec> ResolveNetworkSpec(const ModelParams& params) {
@@ -76,7 +65,7 @@ Result<core::NetworkSpec> ResolveNetworkSpec(const ModelParams& params) {
     }
     spec.topology = std::make_shared<core::StarTopology>(backplane);
   } else if (topology == "fat-tree") {
-    DMLSCALE_ASSIGN_OR_RETURN(int pod, IntegerParam(params, "pod", 4.0, 2.0));
+    DMLSCALE_ASSIGN_OR_RETURN(int pod, params.GetIntOr("pod", 4, 2));
     double oversubscription = params.GetOr("oversubscription", 1.0);
     if (oversubscription < 1.0) {
       return Status::InvalidArgument("oversubscription must be >= 1");
@@ -85,7 +74,7 @@ Result<core::NetworkSpec> ResolveNetworkSpec(const ModelParams& params) {
         std::make_shared<core::FatTreeTopology>(pod, oversubscription);
   } else if (topology == "mesh2d") {
     DMLSCALE_ASSIGN_OR_RETURN(int width,
-                              IntegerParam(params, "mesh_width", 0.0, 0.0));
+                              params.GetIntOr("mesh_width", 0, 0));
     spec.topology = std::make_shared<core::Mesh2dTopology>(width);
   } else {
     return Status::InvalidArgument(

@@ -1,6 +1,8 @@
 #include "api/params.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/string_util.h"
@@ -33,6 +35,20 @@ Result<double> ModelParams::Get(const std::string& key) const {
 double ModelParams::GetOr(const std::string& key, double def) const {
   auto it = values_.find(key);
   return it == values_.end() ? def : it->second;
+}
+
+Result<int> ModelParams::GetIntOr(const std::string& key, int def,
+                                  int min) const {
+  const double value = GetOr(key, def);
+  constexpr int kMax = std::numeric_limits<int>::max();
+  // Negated so NaN fails too; INT_MAX is exact in a double.
+  if (!(value >= min && value <= kMax && value == std::floor(value))) {
+    return Status::InvalidArgument(
+        "parameter '" + key + "' must be a whole number in [" +
+        std::to_string(min) + ", " + std::to_string(kMax) + "] (got " +
+        FormatDouble(value) + ")");
+  }
+  return static_cast<int>(value);
 }
 
 Result<std::string> ModelParams::GetString(const std::string& key) const {

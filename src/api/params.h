@@ -53,6 +53,13 @@ class ModelParams {
   /// The numeric value for `key`, or `def` when absent.
   double GetOr(const std::string& key, double def) const;
 
+  /// The numeric value for `key` (or `def` when absent) as an int in
+  /// [min, INT_MAX]. NaN, +-inf, fractions and out-of-range values return
+  /// kInvalidArgument naming the key: a bare static_cast<int> would
+  /// truncate 2.5 to 2 and is undefined behaviour for the rest.
+  [[nodiscard]] Result<int> GetIntOr(const std::string& key, int def,
+                                     int min) const;
+
   /// The string value for `key`; kInvalidArgument when absent.
   [[nodiscard]] Result<std::string> GetString(const std::string& key) const;
 

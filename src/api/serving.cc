@@ -119,8 +119,8 @@ Result<serve::ServingSpec> ResolveServingSpec(const ModelParams& params,
   if (spec.cache.policy != serve::CachePolicy::kNone) {
     spec.cache.hit_rate = params.GetOr("hit_rate", 0.0);
     spec.cache.hit_latency_s = params.GetOr("hit_latency", 0.0);
-    spec.cache.capacity =
-        static_cast<int64_t>(params.GetOr("cache_capacity", 0.0));
+    DMLSCALE_ASSIGN_OR_RETURN(spec.cache.capacity,
+                              params.GetIntOr("cache_capacity", 0, 0));
   }
 
   if (dispatch == "least-outstanding") {
@@ -133,20 +133,23 @@ Result<serve::ServingSpec> ResolveServingSpec(const ModelParams& params,
         Menu(std::begin(kDispatchPolicies), std::end(kDispatchPolicies)));
   }
 
-  spec.batcher.max_batch = static_cast<int>(params.GetOr("batch_max", 1.0));
+  DMLSCALE_ASSIGN_OR_RETURN(spec.batcher.max_batch,
+                            params.GetIntOr("batch_max", 1, 1));
   spec.batcher.max_delay_s = params.GetOr("batch_delay", 0.0);
 
-  spec.replica.shards = static_cast<int>(params.GetOr("shards", 1.0));
+  DMLSCALE_ASSIGN_OR_RETURN(spec.replica.shards,
+                            params.GetIntOr("shards", 1, 1));
   spec.replica.service.fixed_s = params.GetOr("service_fixed", 0.0);
   spec.replica.service.per_item_s = params.GetOr("service_per_item", 0.0);
   spec.replica.rejoin_bits = params.GetOr("rejoin_bits", 0.0);
   spec.replica.link = link;
 
-  spec.replicas = static_cast<int>(params.GetOr("replicas", 1.0));
+  DMLSCALE_ASSIGN_OR_RETURN(spec.replicas, params.GetIntOr("replicas", 1, 1));
   spec.quantile = params.GetOr("quantile", 0.99);
   spec.target_qps = params.GetOr("target_qps", 0.0);
   spec.target_latency_s = params.GetOr("target_latency", 0.0);
-  spec.max_replicas = static_cast<int>(params.GetOr("max_replicas", 4096.0));
+  DMLSCALE_ASSIGN_OR_RETURN(spec.max_replicas,
+                            params.GetIntOr("max_replicas", 4096, 1));
 
   if (spec.replica.service.per_item_s <= 0.0) {
     return Status::InvalidArgument(

@@ -5,8 +5,10 @@
 // (topology / queue / oversubscription / load) without special-casing.
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -110,6 +112,26 @@ TEST(CommsPropertyTest, TopologyNumericsRequireTheirTopology) {
   EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(model.status().message().find("oversubscription"),
             std::string::npos);
+}
+
+TEST(CommsPropertyTest, TopologyIntegerKeysRejectNonWholeValues) {
+  // pod and mesh_width are ints: a bare cast of inf or 1e12 would be
+  // undefined behaviour and 2.5 would silently truncate.
+  const double bad[] = {std::nan(""), std::numeric_limits<double>::infinity(),
+                        -1.0, 2.5, 1e12};
+  const std::pair<const char*, const char*> keys[] = {{"fat-tree", "pod"},
+                                                      {"mesh2d", "mesh_width"}};
+  for (const auto& [topology, key] : keys) {
+    for (double value : bad) {
+      ModelParams params = *CommModels().Example("tree");
+      params.Set("topology", topology).Set(key, value);
+      auto model = CommModels().Create("tree", params, TestLink());
+      ASSERT_FALSE(model.ok()) << key << "=" << value;
+      EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(model.status().message().find(key), std::string::npos)
+          << model.status().message();
+    }
+  }
 }
 
 TEST(CommsPropertyTest, ComputeEntriesConstructFromTheirExamples) {

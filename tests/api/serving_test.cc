@@ -1,5 +1,7 @@
 #include "api/serving.h"
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -144,6 +146,33 @@ TEST(ResolveServingSpecTest, MissingServiceModelPointsAtCalibration) {
             std::string::npos);
   EXPECT_NE(spec.status().message().find("CalibrateBatchService"),
             std::string::npos);
+}
+
+TEST(ResolveServingSpecTest, IntegerKeysRejectNonWholeOrOutOfRangeValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const char* keys[] = {"replicas", "max_replicas", "batch_max", "shards",
+                        "cache_capacity"};
+  const double bad[] = {std::nan(""), kInf, -kInf, -1.0, 2.5, 1e12};
+  // shards = 3 prices the rejoin on this link.
+  const core::LinkSpec link{.bandwidth_bps = 1e10, .latency_s = 1e-6};
+  for (const char* key : keys) {
+    ModelParams params{{"qps", 100.0}, {"service_per_item", 0.001}};
+    params.Set("cache", "lru");
+    params.Set(key, 3.0);
+    ASSERT_TRUE(ResolveServingSpec(params, link).ok()) << key;
+    std::string quoted = "'";
+    quoted += key;
+    quoted += "'";
+    for (double value : bad) {
+      params.Set(key, value);
+      auto spec = ResolveServingSpec(params, link);
+      ASSERT_FALSE(spec.ok()) << key << "=" << value;
+      EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument)
+          << key << "=" << value;
+      EXPECT_NE(spec.status().message().find(quoted), std::string::npos)
+          << spec.status().message();
+    }
+  }
 }
 
 TEST(CalibrateBatchServiceTest, FitRecoversTheWorkClockExactly) {

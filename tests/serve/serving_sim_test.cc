@@ -1,11 +1,15 @@
-// The serving DES: the shard-count-invariance contract (1/2/4/8-shard runs
-// EXPECT_EQ bit-identical), the Erlang-C cross-check (batchless Poisson
-// grids agree with AnalyzeMmk within a 15% MAPE budget), the batching and
-// cache mechanics, and a DES-backed Q3 answer matching the analytic one.
+// The serving DES: bit-pinned outputs for both dispatch policies, the
+// shard-count-invariance contract (1/2/4/8-shard runs EXPECT_EQ
+// bit-identical), the Erlang-C cross-check (batchless Poisson grids agree
+// with AnalyzeMmk within a 15% MAPE budget), the batching and cache
+// mechanics, and a DES-backed Q3 answer matching the analytic one.
 
 #include "serve/serving_sim.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -66,6 +70,135 @@ TEST(ServingSimTest, ValidatesItsConfig) {
   config.spec.replicas = 0;
   EXPECT_EQ(SimulateServing(config).status().code(),
             StatusCode::kInvalidArgument);
+  // replicas + 1 engine nodes would overflow int; rejected before any
+  // per-replica state is allocated.
+  config = FullConfig();
+  config.spec.replicas = std::numeric_limits<int>::max();
+  EXPECT_EQ(SimulateServing(config).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// FNV-1a over 64-bit words: one pin for a whole vector of bins or of
+// utilization bit patterns.
+uint64_t Fnv1a(const std::vector<uint64_t>& words) {
+  uint64_t hash = UINT64_C(0xcbf29ce484222325);
+  for (uint64_t word : words) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xFF;
+      hash *= UINT64_C(0x100000001b3);
+    }
+  }
+  return hash;
+}
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+/// One pinned run: every ServingSimStats output as an exact bit pattern
+/// (doubles through std::bit_cast), plus FNV-1a digests of the latency
+/// histogram bins and of the per-replica utilizations.
+struct ServingPin {
+  const char* name;
+  ServingSimConfig config;
+  uint64_t p50, p95, p99, mean_latency, duration, offered_qps,
+      completed_qps, mean_batch;
+  uint64_t cache_hits, cache_misses;
+  int64_t batches, events_executed;
+  uint64_t bins_digest, utilization_digest;
+};
+
+// FullSpec over `replicas`, offered `qps_per_replica` each.
+ServingSimConfig LoadedConfig(int replicas, double qps_per_replica,
+                              int64_t requests, uint64_t seed) {
+  ServingSimConfig config;
+  config.spec = FullSpec();
+  config.spec.replicas = replicas;
+  config.spec.arrivals.rate_qps = qps_per_replica * replicas;
+  config.num_requests = requests;
+  config.warmup_requests = requests / 10;
+  config.seed = seed;
+  return config;
+}
+
+// rho = 0.05 over 7 batchless, cacheless replicas: the fleet is nearly
+// always idle, so outstanding-count ties decide almost every dispatch.
+ServingSimConfig LightConfig() {
+  ServingSimConfig config;
+  config.spec.arrivals.rate_qps = 350.0;
+  config.spec.replica.service.per_item_s = 0.001;
+  config.spec.replicas = 7;
+  config.num_requests = 3000;
+  config.warmup_requests = 300;
+  config.seed = 3;
+  return config;
+}
+
+ServingSimConfig RoundRobinConfig() {
+  ServingSimConfig config = LoadedConfig(7, 1200.0, 4000, 23);
+  config.spec.dispatch = DispatchPolicy::kRoundRobin;
+  return config;
+}
+
+// The pins were captured from the O(k) rotated strict-min scan that
+// least-outstanding dispatch used before the indexed min-tree replaced it;
+// any drift means dispatch chose a different replica somewhere.
+TEST(ServingSimTest, OutputsMatchPinnedBits) {
+  const ServingPin pins[] = {
+      {"lo_k1", LoadedConfig(1, 400.0, 3000, 41),
+       UINT64_C(0x3f633434431393f5), UINT64_C(0x3f816e6a2313ad63),
+       UINT64_C(0x3f8cedc3ccaea159), UINT64_C(0x3f6749c5dc91d8f4),
+       UINT64_C(0x40150c07fb0aed7c), UINT64_C(0x40839b7109fc318b),
+       UINT64_C(0x4081d13888023d88), UINT64_C(0x4002620000000000),
+       947u, 2353u, 1024, 8587,
+       UINT64_C(0xbd9ea96c9154ded6), UINT64_C(0xd2d544fcf572c899)},
+      {"lo_k7", LoadedConfig(7, 1200.0, 4000, 43),
+       UINT64_C(0x3f633434431393f5), UINT64_C(0x3f7a722cdfb76a9d),
+       UINT64_C(0x3f840389985ae9d7), UINT64_C(0x3f63e5a377fde000),
+       UINT64_C(0x3fe5d7fb4f5bc01c), UINT64_C(0x40b954e7353c8fdb),
+       UINT64_C(0x40b6e3d1a4315dde), UINT64_C(0x4001ce679123bce6),
+       1275u, 3125u, 1404, 11619,
+       UINT64_C(0x08cff84541518001), UINT64_C(0xc17d745533b4adf8)},
+      {"lo_k100", LoadedConfig(100, 1200.0, 8000, 47),
+       UINT64_C(0x3f641be5d0733c45), UINT64_C(0x3f781e7926c0e520),
+       UINT64_C(0x3f816e6a2313ad63), UINT64_C(0x3f63ab51752e2278),
+       UINT64_C(0x3fbae6ce9142f32c), UINT64_C(0x40f66927eac918cb),
+       UINT64_C(0x40f296154a6411f7), UINT64_C(0x4001383312f91383),
+       2672u, 6128u, 2847, 23373,
+       UINT64_C(0x9d1121ffcc9c2be5), UINT64_C(0x06bfea7a6534611f)},
+      {"lo_light_ties", LightConfig(),
+       UINT64_C(0x3f4aa2843df78008), UINT64_C(0x3f6950d1ba29f9e7),
+       UINT64_C(0x3f73288ef59a5b20), UINT64_C(0x3f52474ab1cc9c8c),
+       UINT64_C(0x4022b38471c9ab63), UINT64_C(0x40760f92a2350d31),
+       UINT64_C(0x40740d597ad93deb), UINT64_C(0x3ff0000000000000),
+       0u, 0u, 3300, 13200,
+       UINT64_C(0xe8db12a0447c5d01), UINT64_C(0x5f48465e8038e651)},
+      {"rr_k7", RoundRobinConfig(),
+       UINT64_C(0x3f6183a1a824dd00), UINT64_C(0x3f7a722cdfb76a9d),
+       UINT64_C(0x3f840389985ae9d7), UINT64_C(0x3f62bc28698dc532),
+       UINT64_C(0x3fe6493a7e26c0e8), UINT64_C(0x40b8d60786b62325),
+       UINT64_C(0x40b66f80e7d6343e), UINT64_C(0x3fff868508bf76ad),
+       1344u, 3056u, 1551, 11912,
+       UINT64_C(0x03e6cc52f15a009d), UINT64_C(0xc0333217ad02e5a7)},
+  };
+  for (const ServingPin& pin : pins) {
+    Result<ServingSimStats> stats = SimulateServing(pin.config);
+    ASSERT_TRUE(stats.ok()) << pin.name;
+    std::vector<uint64_t> utilization;
+    for (double u : stats->replica_utilization) utilization.push_back(Bits(u));
+    EXPECT_EQ(Bits(stats->p50_s), pin.p50) << pin.name;
+    EXPECT_EQ(Bits(stats->p95_s), pin.p95) << pin.name;
+    EXPECT_EQ(Bits(stats->p99_s), pin.p99) << pin.name;
+    EXPECT_EQ(Bits(stats->mean_latency_s), pin.mean_latency) << pin.name;
+    EXPECT_EQ(Bits(stats->duration_s), pin.duration) << pin.name;
+    EXPECT_EQ(Bits(stats->offered_qps), pin.offered_qps) << pin.name;
+    EXPECT_EQ(Bits(stats->completed_qps), pin.completed_qps) << pin.name;
+    EXPECT_EQ(Bits(stats->mean_batch), pin.mean_batch) << pin.name;
+    EXPECT_EQ(stats->cache_hits, pin.cache_hits) << pin.name;
+    EXPECT_EQ(stats->cache_misses, pin.cache_misses) << pin.name;
+    EXPECT_EQ(stats->batches, pin.batches) << pin.name;
+    EXPECT_EQ(stats->engine.events_executed, pin.events_executed) << pin.name;
+    EXPECT_EQ(Fnv1a(stats->latency.bins()), pin.bins_digest) << pin.name;
+    EXPECT_EQ(Fnv1a(utilization), pin.utilization_digest) << pin.name;
+  }
 }
 
 TEST(ServingSimTest, ResultIsShardCountInvariant) {
