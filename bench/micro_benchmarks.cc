@@ -1,11 +1,18 @@
 // google-benchmark micro-benchmarks of the library's hot paths: the
 // Monte-Carlo edge estimator, graph generation and partition statistics,
-// one BP superstep, dense/conv forward-backward, the event-engine core, and
-// the closed-form model evaluations used inside planner sweeps.
+// one BP superstep, dense/conv forward-backward, the event-engine core, the
+// closed-form model evaluations used inside planner sweeps, and one
+// contended ring-allreduce price.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "bp/bp.h"
+#include "core/communication_model.h"
+#include "core/network.h"
+#include "core/queueing.h"
+#include "core/topology.h"
 #include "graph/generators.h"
 #include "graph/partition.h"
 #include "models/gradient_descent.h"
@@ -169,6 +176,23 @@ void BM_SparkModelSweep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 128);
 }
 BENCHMARK(BM_SparkModelSweep);
+
+// One contended ring-allreduce price: its 2(n-1) rounds are one n-flow ring
+// shift, routed and priced once, so a call grows about linearly in n. CI
+// gates the per-call wall-time ratio of /256 to /64.
+void BM_ContendedRingCommSeconds(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const core::LinkSpec edge{.bandwidth_bps = 1e10, .latency_s = 2e-6};
+  const core::NetworkSpec network{
+      std::make_shared<core::FatTreeTopology>(4, 4.0),
+      std::make_shared<core::Mm1QueueModel>(0.2)};
+  const core::RingAllReduceComm ring(4e9, edge, network);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ring.Seconds(n));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ContendedRingCommSeconds)->Arg(64)->Arg(256)->UseRealTime();
 
 }  // namespace
 }  // namespace dmlscale

@@ -311,11 +311,15 @@ DMLSCALE_REGISTER_WORKLOAD(
       // The Fig. 2 tower with hidden widths scaled down so measuring
       // stays cheap.
       options.layer_sizes = Fig2TowerLayerSizes(width_scale);
-      options.examples = static_cast<int64_t>(params.GetOr("examples", 256.0));
-      options.batch_size = static_cast<int64_t>(params.GetOr("batch", 64.0));
-      options.epochs = static_cast<int>(params.GetOr("epochs", 1.0));
+      DMLSCALE_ASSIGN_OR_RETURN(options.examples,
+                                params.GetIntOr("examples", 256, 1));
+      DMLSCALE_ASSIGN_OR_RETURN(options.batch_size,
+                                params.GetIntOr("batch", 64, 1));
+      DMLSCALE_ASSIGN_OR_RETURN(options.epochs,
+                                params.GetIntOr("epochs", 1, 1));
       options.seed = static_cast<uint64_t>(params.GetOr("seed", 42.0));
-      options.threads = static_cast<int>(params.GetOr("threads", 1.0));
+      DMLSCALE_ASSIGN_OR_RETURN(options.threads,
+                                params.GetIntOr("threads", 1, 1));
       options.use_wall_clock = params.GetOr("wall_clock", 0.0) != 0.0;
       DMLSCALE_ASSIGN_OR_RETURN(std::unique_ptr<NnTrainerWorkload> workload,
                                 NnTrainerWorkload::Create(scenario,
@@ -331,14 +335,18 @@ DMLSCALE_REGISTER_WORKLOAD(
           {"rows", "cols", "states", "coupling", "max_iterations", "seed",
            "threads", "wall_clock"}));
       BpSweepWorkloadOptions options;
-      options.grid_rows = static_cast<int64_t>(params.GetOr("rows", 24.0));
-      options.grid_cols = static_cast<int64_t>(params.GetOr("cols", 24.0));
-      options.states = static_cast<int>(params.GetOr("states", 2.0));
+      DMLSCALE_ASSIGN_OR_RETURN(options.grid_rows,
+                                params.GetIntOr("rows", 24, 2));
+      DMLSCALE_ASSIGN_OR_RETURN(options.grid_cols,
+                                params.GetIntOr("cols", 24, 2));
+      DMLSCALE_ASSIGN_OR_RETURN(options.states,
+                                params.GetIntOr("states", 2, 2));
       options.coupling = params.GetOr("coupling", 0.3);
-      options.max_iterations =
-          static_cast<int>(params.GetOr("max_iterations", 30.0));
+      DMLSCALE_ASSIGN_OR_RETURN(options.max_iterations,
+                                params.GetIntOr("max_iterations", 30, 1));
       options.seed = static_cast<uint64_t>(params.GetOr("seed", 42.0));
-      options.threads = static_cast<int>(params.GetOr("threads", 1.0));
+      DMLSCALE_ASSIGN_OR_RETURN(options.threads,
+                                params.GetIntOr("threads", 1, 1));
       options.use_wall_clock = params.GetOr("wall_clock", 0.0) != 0.0;
       DMLSCALE_ASSIGN_OR_RETURN(std::unique_ptr<BpSweepWorkload> workload,
                                 BpSweepWorkload::Create(scenario,

@@ -20,18 +20,20 @@ double CommunicationModel::Seconds(int n) const {
   if (network_.Ideal()) return ClosedFormSeconds(n);
   // Stream rounds instead of materializing Traffic(n): identical sum
   // (PatternSeconds is a fold of RoundSeconds over the rounds) at O(round)
-  // memory, which is what keeps 10k-node ring patterns affordable.
+  // memory, which is what keeps 10k-node ring patterns affordable. A round
+  // handed over `times` times is priced once and added `times` times, so
+  // the fold keeps its bits.
   double total = 0.0;
-  ForEachRound(n, [&](const TrafficRound& round) {
-    total += RoundSeconds(round, n, link_, network_);
+  ForEachRound(n, [&](const TrafficRound& round, int times) {
+    const double seconds = RoundSeconds(round, n, link_, network_);
+    for (int i = 0; i < times; ++i) total += seconds;
   });
   return total;
 }
 
-void CommunicationModel::ForEachRound(
-    int n, const std::function<void(const TrafficRound&)>& fn) const {
+void CommunicationModel::ForEachRound(int n, const RoundVisitor& fn) const {
   const TrafficPattern pattern = Traffic(n);
-  for (const TrafficRound& round : pattern.rounds) fn(round);
+  for (const TrafficRound& round : pattern.rounds) fn(round, 1);
 }
 
 TrafficPattern SharedMemoryComm::Traffic(int n) const {
@@ -203,19 +205,19 @@ TrafficPattern RingAllReduceComm::Traffic(int n) const {
   return pattern;
 }
 
-void RingAllReduceComm::ForEachRound(
-    int n, const std::function<void(const TrafficRound&)>& fn) const {
+void RingAllReduceComm::ForEachRound(int n, const RoundVisitor& fn) const {
   DMLSCALE_CHECK_GE(n, 1);
   if (n == 1) return;
-  // Every round is the same n-flow ring shift: build it once, stream it
-  // 2(n-1) times (O(n) memory instead of Traffic(n)'s O(n^2)).
+  // Every round is the same n-flow ring shift: build it once and hand it
+  // over once for all 2(n-1) rounds (O(n) memory and routing instead of
+  // Traffic(n)'s O(n^2)).
   TrafficRound round;
   const double chunk = bits_ / static_cast<double>(n);
   round.flows.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     round.flows.push_back(Flow{i, (i + 1) % n, chunk});
   }
-  for (int r = 0; r < 2 * (n - 1); ++r) fn(round);
+  fn(round, 2 * (n - 1));
 }
 
 RecursiveDoublingComm::RecursiveDoublingComm(double bits, LinkSpec link,
@@ -309,8 +311,7 @@ TrafficPattern CompositeComm::Traffic(int n) const {
   return pattern;
 }
 
-void CompositeComm::ForEachRound(
-    int n, const std::function<void(const TrafficRound&)>& fn) const {
+void CompositeComm::ForEachRound(int n, const RoundVisitor& fn) const {
   for (const auto& stage : stages_) stage->ForEachRound(n, fn);
 }
 

@@ -46,15 +46,24 @@ class CommunicationModel {
   /// The collective's per-round flows on `n` >= 1 nodes (empty for n == 1).
   virtual TrafficPattern Traffic(int n) const = 0;
 
+  /// Called once per distinct round with the number of identical
+  /// consecutive rounds (>= 1) it stands for.
+  using RoundVisitor =
+      std::function<void(const TrafficRound& round, int times)>;
+
   /// Streams the same rounds as Traffic(n) to `fn`, in order, WITHOUT
-  /// materializing the whole pattern. The base implementation materializes
-  /// Traffic(n); models whose pattern is huge but repetitive override it to
-  /// build each distinct round once (RingAllReduceComm's 2(n-1) identical
-  /// rounds are ~2*10^8 flows at n = 10k if materialized, n flows if
-  /// streamed). This is the pricing hook that lets the event engine and the
-  /// analytic queue model cost 10k-node collectives in O(n) memory.
-  virtual void ForEachRound(
-      int n, const std::function<void(const TrafficRound&)>& fn) const;
+  /// materializing the whole pattern. The count contract: each call
+  /// fn(round, times) stands for `times` consecutive copies of `round`, so
+  /// a consumer prices the round once and adds that price `times` times,
+  /// in order — the sum keeps the bits of a round-by-round fold. The base
+  /// implementation materializes Traffic(n) and passes times = 1;
+  /// CompositeComm forwards each stage's calls. RingAllReduceComm builds
+  /// its one n-flow round and passes times = 2(n-1): its pattern is ~2*10^8
+  /// flows at n = 10k if materialized, n flows streamed, and a contended
+  /// price costs one routing of n flows instead of 2(n-1). This is the
+  /// pricing hook that lets the event engine and the analytic queue model
+  /// cost 10k-node collectives in O(n) memory.
+  virtual void ForEachRound(int n, const RoundVisitor& fn) const;
 
   const NetworkSpec& network() const { return network_; }
   const LinkSpec& link() const { return link_; }
@@ -174,11 +183,9 @@ class RingAllReduceComm final : public CommunicationModel {
   RingAllReduceComm(double bits, LinkSpec link, NetworkSpec network = {});
   std::string name() const override { return "ring-allreduce"; }
   TrafficPattern Traffic(int n) const override;
-  /// Streams the single n-flow shift round 2(n-1) times instead of
-  /// materializing all of them.
-  void ForEachRound(
-      int n,
-      const std::function<void(const TrafficRound&)>& fn) const override;
+  /// Hands the single n-flow shift round over once, with times = 2(n-1),
+  /// instead of materializing all of them.
+  void ForEachRound(int n, const RoundVisitor& fn) const override;
 
  protected:
   double ClosedFormSeconds(int n) const override;
@@ -230,11 +237,9 @@ class CompositeComm final : public CommunicationModel {
   double Seconds(int n) const override;
   std::string name() const override;
   TrafficPattern Traffic(int n) const override;
-  /// Streams each stage's rounds in stage order (so a streaming stage like
-  /// the ring stays O(n) inside a composite).
-  void ForEachRound(
-      int n,
-      const std::function<void(const TrafficRound&)>& fn) const override;
+  /// Streams each stage's rounds in stage order, with the stage's counts
+  /// (so a streaming stage like the ring stays O(n) inside a composite).
+  void ForEachRound(int n, const RoundVisitor& fn) const override;
 
   /// Builder-style helper.
   static std::unique_ptr<CompositeComm> Of(

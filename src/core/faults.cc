@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
+#include "common/string_util.h"
 
 namespace dmlscale::core {
 
@@ -19,6 +21,42 @@ constexpr uint64_t kLinkStream = 2;
 
 // Standard normal CDF.
 double Phi(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
+
+// ExpectedMaxSlowdown's quadrature: kGaussPanels panels in all, each with
+// the 16-point Gauss-Legendre rule, whose nodes on [-1, 1] are
+// +-kGaussNodes[i], both with weight kGaussWeights[i].
+constexpr int kGaussPanels = 8;
+constexpr double kGaussNodes[8] = {
+    0.0950125098376374401853, 0.281603550779258913230,
+    0.458016777657227386342,  0.617876244402643748447,
+    0.755404408355003033895,  0.865631202387831743880,
+    0.944575023073232576078,  0.989400934991649932596};
+constexpr double kGaussWeights[8] = {
+    0.189450610455068496285,  0.182603415044923588867,
+    0.169156519395002538189,  0.149595988816576732082,
+    0.124628971255533872052,  0.0951585116824927848099,
+    0.0622535239386478928628, 0.0271524594117540948518};
+
+// Past this sigma the integrand's body (about one unit wide in z, around
+// z = sigma) is narrower than a panel resolves, and one draw alone averages
+// e^{sigma^2/2} > 1e195: ExpectedMaxSlowdown answers +inf.
+constexpr double kMaxStragglerSigma = 30.0;
+
+// The integral of f over [a, b]: `panels` equal panels, 16 Gauss-Legendre
+// points each.
+template <typename F>
+double CompositeGauss16(double a, double b, int panels, const F& f) {
+  const double half = 0.5 * (b - a) / panels;
+  double sum = 0.0;
+  for (int p = 0; p < panels; ++p) {
+    const double mid = a + (2 * p + 1) * half;
+    for (int i = 0; i < 8; ++i) {
+      sum += kGaussWeights[i] * (f(mid - half * kGaussNodes[i]) +
+                                 f(mid + half * kGaussNodes[i]));
+    }
+  }
+  return half * sum;
+}
 
 // Inverse-CDF exponential draw with the given mean. NextDouble() is in
 // [0, 1), so 1 - u is in (0, 1] and the log is finite.
@@ -193,30 +231,51 @@ CheckpointPlan ResolveCheckpointPlan(const FaultSpec& spec, int n,
 double ExpectedMaxSlowdown(const FaultSpec& spec, int n) {
   if (spec.straggler_sigma <= 0.0 || n < 1) return 1.0;
   const double sigma = spec.straggler_sigma;
-  const bool speculative =
-      spec.recovery == RecoveryStrategy::kSpeculativeReexec;
-  const double theta = spec.speculation_threshold;
-  auto cdf = [&](double t) {
-    if (t <= 0.0) return 0.0;
-    double base = Phi(std::log(t) / sigma);
-    if (!speculative || t <= theta) return base;
-    // Past the threshold the original AND the backup must both be late:
-    // P(min(X, theta + X') > t) = (1 - F(t)) * (1 - F(t - theta)).
-    double backup = Phi(std::log(t - theta) / sigma);
-    return 1.0 - (1.0 - base) * (1.0 - backup);
-  };
-  // E[max] = integral of 1 - F(t)^n. At t_max, n * (1 - F) < ~1e-13 even for
-  // n = 1e6 (Phi(9) tail), so the truncation error is negligible.
-  const double t_max = (speculative ? theta : 0.0) + std::exp(9.0 * sigma);
-  const int steps = 20000;
-  const double dt = t_max / steps;
-  double sum = 0.0;
-  for (int i = 0; i <= steps; ++i) {
-    double t = dt * i;
-    double f = 1.0 - std::pow(cdf(t), static_cast<double>(n));
-    sum += (i == 0 || i == steps) ? 0.5 * f : f;
+  if (!(sigma <= kMaxStragglerSigma)) {
+    return std::numeric_limits<double>::infinity();
   }
-  return sum * dt;
+  const double dn = static_cast<double>(n);
+  // 1 - (1 - q)^n for a per-draw tail probability q, without cancelling
+  // when n * q is tiny.
+  auto survival = [dn](double q) { return -std::expm1(dn * std::log1p(-q)); };
+  // survival * e^{sigma x}, in log space: a huge e^{sigma x} times a tiny
+  // survival stays finite.
+  auto stretched = [sigma](double x, double s) {
+    return s > 0.0 ? std::exp(sigma * x + std::log(s)) : 0.0;
+  };
+  // E[max] = integral of 1 - F(t)^n dt. In z = ln t / sigma the integrand
+  // survival(Phi(-z)) * sigma e^{sigma z} is smooth and its body sits near
+  // z = sigma. Below lo, F(t)^n <= Phi(-9) ~ 1e-19, so that sliver adds its
+  // width e^{sigma lo}. Above hi the integrand is ~9 standard deviations past
+  // both the body and the max of n draws (z ~ sqrt(2 ln n)).
+  const double lo = -9.0;
+  const double hi = sigma + 9.0 + std::sqrt(2.0 * std::log(dn));
+  auto plain = [&](double z) { return stretched(z, survival(Phi(-z))); };
+  const double theta = spec.speculation_threshold;
+  // Speculative: past t = theta the backup, started at theta, must be late
+  // too. In w = ln(t - theta) / sigma that tail is smooth:
+  // q = Phi(-ln t / sigma) * Phi(-w). Below w = lo the backup is late for
+  // sure, so the plain integrand holds up to t = theta + e^{sigma lo}.
+  const double z_join =
+      (std::log(theta) + std::log1p(std::exp(sigma * lo) / theta)) / sigma;
+  if (spec.recovery != RecoveryStrategy::kSpeculativeReexec ||
+      z_join >= hi) {
+    return std::exp(sigma * lo) +
+           sigma * CompositeGauss16(lo, hi, kGaussPanels, plain);
+  }
+  auto backed_up = [&](double w) {
+    const double z =
+        (std::log(theta) + std::log1p(std::exp(sigma * w) / theta)) / sigma;
+    return stretched(w, survival(Phi(-z) * Phi(-w)));
+  };
+  // The panels are shared between the two pieces by length.
+  const int below = std::clamp(
+      static_cast<int>(std::lround(kGaussPanels * (z_join - lo) /
+                                   ((z_join - lo) + (hi - lo)))),
+      1, kGaussPanels - 1);
+  return std::exp(sigma * lo) +
+         sigma * (CompositeGauss16(lo, z_join, below, plain) +
+                  CompositeGauss16(lo, hi, kGaussPanels - below, backed_up));
 }
 
 Result<double> ExpectedCompletionSeconds(const FaultSpec& spec, int n,
@@ -228,9 +287,22 @@ Result<double> ExpectedCompletionSeconds(const FaultSpec& spec, int n,
   }
   const CheckpointPlan plan = ResolveCheckpointPlan(spec, n, work_seconds);
   const double jitter = ExpectedMaxSlowdown(spec, n);
+  if (!std::isfinite(jitter)) {
+    return Status::InvalidArgument(
+        "straggler_sigma = " + FormatDouble(spec.straggler_sigma) +
+        " is past the straggler model's range (<= " +
+        FormatDouble(kMaxStragglerSigma) +
+        "; one draw alone averages e^(sigma^2/2)); lower straggler_sigma");
+  }
   const double segment =
       plan.interval_s * jitter + spec.checkpoint_cost_s;
   const double base = static_cast<double>(plan.segments) * segment;
+  if (!std::isfinite(base)) {
+    return Status::InvalidArgument(
+        "the expected time of " + std::to_string(plan.segments) +
+        " checkpoint segments overflows (straggler slowdown " +
+        FormatDouble(jitter) + "x); lower straggler_sigma or the work");
+  }
   if (!spec.CrashesEnabled()) return base;
 
   // System crash-notification rate: n independent up/down renewal processes,
@@ -252,9 +324,19 @@ Result<double> ExpectedCompletionSeconds(const FaultSpec& spec, int n,
   // Daly's expected completion: each segment retries on failure (losing its
   // elapsed work), failures during the R-second recovery restart it.
   const double mtbf_sys = 1.0 / lambda;
-  return static_cast<double>(plan.segments) * mtbf_sys *
-         std::exp(spec.mttr_seconds / mtbf_sys) *
-         (std::exp(segment / mtbf_sys) - 1.0);
+  const double expected = static_cast<double>(plan.segments) * mtbf_sys *
+                          std::exp(spec.mttr_seconds / mtbf_sys) *
+                          (std::exp(segment / mtbf_sys) - 1.0);
+  if (!std::isfinite(expected)) {
+    return Status::InvalidArgument(
+        "expected completion overflows: a checkpoint segment of " +
+        FormatDouble(segment) + " s (straggler slowdown " +
+        FormatDouble(jitter) + "x) against a system MTBF of " +
+        FormatDouble(mtbf_sys) +
+        " s never finishes between crashes; lower straggler_sigma, shorten "
+        "checkpoint_interval_s, or raise mtbf_seconds");
+  }
+  return expected;
 }
 
 }  // namespace dmlscale::core

@@ -133,9 +133,22 @@ CheckpointPlan ResolveCheckpointPlan(const FaultSpec& spec, int n,
                                      double work_seconds);
 
 /// E[max of n iid slowdown draws] — the expected barrier stretch of a BSP
-/// segment across n jittered workers, by deterministic numeric integration
-/// of 1 - F(t)^n (speculation-capped F under kSpeculativeReexec). 1 when
+/// segment across n jittered workers: the integral of 1 - F(t)^n
+/// (speculation-capped F under kSpeculativeReexec). 1 when
 /// straggler_sigma == 0.
+///
+/// The rule: in z = ln t / sigma, a fixed 8-panel composite 16-point
+/// Gauss-Legendre rule (128 integrand evaluations) over
+/// [-9, sigma + 9 + sqrt(2 ln n)], plus the closed-form sliver e^{-9 sigma}
+/// below it. The survival 1 - F^n is computed as -expm1(n log1p(-q)) from
+/// the tail q = 1 - F, so the upper tail does not cancel. Under speculation
+/// the part past t = theta is integrated in w = ln(t - theta) / sigma, where
+/// it is smooth again. Measured accuracy against the exact n = 1 and n = 2
+/// means is <= 2e-15 relative for sigma in [0.05, 4]. Against a fine
+/// long-double reference, the plain rule is within 3e-10 up to n = 64,
+/// 4e-7 up to n = 1000 and 4e-5 at n = 1e5; the speculative one within 5e-6
+/// up to n = 64 and 5e-4 up to n = 1000. Never NaN: +inf for sigma > 30,
+/// where one draw alone averages e^{sigma^2/2} > 1e195.
 double ExpectedMaxSlowdown(const FaultSpec& spec, int n);
 
 /// Expected wall-clock seconds to complete `work_seconds` of fault-free
@@ -148,6 +161,8 @@ double ExpectedMaxSlowdown(const FaultSpec& spec, int n);
 ///
 /// with J = ExpectedMaxSlowdown, seg = tau * J + C, M = 1/lambda the system
 /// MTBF (lambda = n / (mtbf + mttr)), R = mttr, B the crash-free total.
+/// Never a non-finite OK value: a J or completion time that overflows is
+/// InvalidArgument naming straggler_sigma (and the segment) to change.
 [[nodiscard]] Result<double> ExpectedCompletionSeconds(const FaultSpec& spec,
                                                        int n,
                                                        double work_seconds);

@@ -63,14 +63,22 @@ Result<int> CapacityPlanner::NodesForTargetTimeUnderFaults(
     return Status::InvalidArgument("min_nodes out of range");
   }
   DMLSCALE_RETURN_NOT_OK(faults.Validate());
+  bool priced = false;
+  Status unpriced;
   for (int n = min_nodes; n <= max_nodes_; ++n) {
     Result<double> expected =
         ExpectedCompletionSeconds(faults, n, time_fn_(n, 1.0));
     // A node count whose recovery saturates (replica takeover drag >= 1)
     // simply cannot hit any target; keep scanning.
-    if (!expected.ok()) continue;
+    if (!expected.ok()) {
+      unpriced = expected.status();
+      continue;
+    }
+    priced = true;
     if (expected.value() <= target_seconds) return n;
   }
+  // No count could be priced at all: say why rather than "not found".
+  if (!priced) return unpriced;
   return Status::NotFound(
       "no node count within " + std::to_string(max_nodes_) +
       " reaches the target time once failures are accounted for");

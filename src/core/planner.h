@@ -56,7 +56,8 @@ class CapacityPlanner {
   /// fault-free time t(n) — is <= `target_seconds`. More nodes cut the
   /// fault-free time but raise the system crash rate, so this can answer
   /// "impossible" where the perfect-cluster planner would not. Node counts
-  /// whose recovery cannot keep up (replica takeover saturated) are skipped.
+  /// whose recovery cannot keep up (replica takeover saturated) are skipped;
+  /// when no count can be priced at all, the last pricing error is returned.
   [[nodiscard]] Result<int> NodesForTargetTimeUnderFaults(
       double target_seconds, const FaultSpec& faults, int min_nodes = 1) const;
 

@@ -97,8 +97,10 @@ double SimulateCommSeconds(const core::CommunicationModel& comm, int n,
                            const core::LinkSpec& edge,
                            const core::NetworkSpec& network) {
   double total = 0.0;
-  comm.ForEachRound(n, [&](const core::TrafficRound& round) {
-    total += round.repeat * SimulateRoundSeconds(round, n, edge, network);
+  comm.ForEachRound(n, [&](const core::TrafficRound& round, int times) {
+    const double seconds =
+        round.repeat * SimulateRoundSeconds(round, n, edge, network);
+    for (int i = 0; i < times; ++i) total += seconds;
   });
   return total;
 }

@@ -35,7 +35,11 @@ double SimulatePatternSeconds(const core::TrafficPattern& pattern, int n,
 
 /// SimulatePatternSeconds over a CommunicationModel via its streaming
 /// ForEachRound hook — same sum, but O(round) memory, so pricing a 10k-node
-/// ring-allreduce never materializes its ~2*10^8-flow pattern.
+/// ring-allreduce never materializes its ~2*10^8-flow pattern. Under the
+/// hook's count contract a round handed over with `times` is simulated once
+/// and its price added `times` times, in order, so the sum keeps the bits of
+/// simulating every round: the ring's 2(n-1) identical rounds cost one DES
+/// run of n flows.
 double SimulateCommSeconds(const core::CommunicationModel& comm, int n,
                            const core::LinkSpec& edge,
                            const core::NetworkSpec& network);

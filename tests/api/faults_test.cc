@@ -199,6 +199,30 @@ TEST(AnalysisFaultsTest, FaultTargetQuestionIsAnswered) {
   EXPECT_FALSE(hopeless->fault_target_answer->note.empty());
 }
 
+TEST(AnalysisFaultsTest, ExtremeStragglerReportsNoNanOptimum) {
+  // At straggler sigma 100 the expected barrier slowdown overflows a
+  // double, so no node count can be priced: the report carries no
+  // fault-aware optimum or slowdown (rather than a NaN one), and Q3 says why.
+  ModelParams params = CrashParams();
+  params.Set("straggler", 100.0);
+  auto scenario = Fig1Builder().Faults(params).Build();
+  ASSERT_TRUE(scenario.ok());
+  AnalysisOptions options;
+  options.fault_target_seconds = 60.0;
+  auto report = Analysis::Run(*scenario, options);
+  ASSERT_TRUE(report.ok());
+  ASSERT_TRUE(report->faults.has_value());
+  EXPECT_FALSE(report->faults->optimal_nodes.has_value());
+  EXPECT_FALSE(report->faults->expected_slowdown.has_value());
+  ASSERT_TRUE(report->fault_target_answer.has_value());
+  EXPECT_FALSE(report->fault_target_answer->achievable);
+  EXPECT_NE(report->fault_target_answer->note.find("straggler_sigma"),
+            std::string::npos);
+  std::ostringstream os;
+  PrintReport(*report, os);
+  EXPECT_EQ(os.str().find("nan"), std::string::npos) << os.str();
+}
+
 TEST(AnalysisFaultsTest, CheckpointIntervalRejectsAnOutOfRangeFleet) {
   // The Young/Daly interval is priced at current_nodes: a fleet beyond the
   // cluster is an error, not a silently missing answer.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "api/presets.h"
 #include "api/scenario.h"
@@ -62,6 +64,34 @@ TEST(WorkloadRegistryTest, TypodParameterIsRejected) {
   ASSERT_FALSE(workload.ok());
   EXPECT_EQ(workload.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(workload.status().message().find("epocs"), std::string::npos);
+}
+
+TEST(WorkloadRegistryTest, IntegerKeysRejectNonWholeAndOutOfRangeValues) {
+  auto scenario = SparkScenario();
+  ASSERT_TRUE(scenario.ok());
+  // epochs = inf once became INT_MIN; rows = 1e12 was accepted and then
+  // spent its time building the grid. Both now fail at Create, naming the
+  // key.
+  auto epochs = Workloads().Create(
+      "nn-trainer", {{"epochs", std::numeric_limits<double>::infinity()}},
+      *scenario);
+  ASSERT_FALSE(epochs.ok());
+  EXPECT_EQ(epochs.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(epochs.status().message().find("'epochs'"), std::string::npos);
+
+  auto rows = Workloads().Create("bp-sweep", {{"rows", 1e12}}, *scenario);
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rows.status().message().find("'rows'"), std::string::npos);
+
+  // Fractions and NaN are no better than overflow.
+  auto batch = Workloads().Create("nn-trainer", {{"batch", 2.5}}, *scenario);
+  ASSERT_FALSE(batch.ok());
+  EXPECT_NE(batch.status().message().find("'batch'"), std::string::npos);
+  auto states = Workloads().Create("bp-sweep", {{"states", std::nan("")}},
+                                   *scenario);
+  ASSERT_FALSE(states.ok());
+  EXPECT_NE(states.status().message().find("'states'"), std::string::npos);
 }
 
 TEST(WorkloadRegistryTest, FactoryBuildsUsableWorkload) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "common/random.h"
@@ -204,6 +206,122 @@ TEST(AnalyticFormsTest, ExpectedMaxSlowdownGrowsWithClusterSize) {
   capped.recovery = RecoveryStrategy::kSpeculativeReexec;
   capped.speculation_threshold = 1.5;
   EXPECT_LT(ExpectedMaxSlowdown(capped, 256), j256);
+}
+
+double Phi(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
+
+FaultSpec StragglerSpec(
+    double sigma,
+    RecoveryStrategy recovery = RecoveryStrategy::kCheckpointRestart) {
+  FaultSpec spec;
+  spec.straggler_sigma = sigma;
+  spec.recovery = recovery;
+  return spec;
+}
+
+TEST(AnalyticFormsTest, ExpectedMaxSlowdownMatchesClosedFormsForOneAndTwo) {
+  // E[X] = e^{sigma^2/2} and E[max(X1, X2)] = 2 e^{sigma^2/2} Phi(sigma/sqrt2)
+  // for iid log-normal X with median 1.
+  for (double sigma : {0.05, 0.3, 1.0, 1.2, 1.5, 2.0, 3.0, 4.0}) {
+    const FaultSpec spec = StragglerSpec(sigma);
+    const double one = std::exp(0.5 * sigma * sigma);
+    const double two = 2.0 * one * Phi(sigma / std::sqrt(2.0));
+    EXPECT_NEAR(ExpectedMaxSlowdown(spec, 1) / one, 1.0, 1e-12)
+        << "sigma=" << sigma;
+    EXPECT_NEAR(ExpectedMaxSlowdown(spec, 2) / two, 1.0, 1e-12)
+        << "sigma=" << sigma;
+  }
+}
+
+TEST(AnalyticFormsTest, ExpectedMaxSlowdownIsAtLeastTheMeanAndGrowsWithN) {
+  for (double sigma : {0.05, 0.3, 1.0, 1.5, 2.0, 4.0}) {
+    const double mean = std::exp(0.5 * sigma * sigma);
+    for (RecoveryStrategy recovery : {RecoveryStrategy::kCheckpointRestart,
+                                      RecoveryStrategy::kSpeculativeReexec}) {
+      const FaultSpec spec = StragglerSpec(sigma, recovery);
+      double previous = 0.0;
+      for (int n : {1, 2, 3, 8, 64, 1000, 100000}) {
+        const double j = ExpectedMaxSlowdown(spec, n);
+        EXPECT_GE(j, previous) << "sigma=" << sigma << " n=" << n;
+        // The max of n draws is at least one draw (n = 1 is equality, up
+        // to rounding); speculation caps the draws, so only the plain
+        // straggler is held to the mean.
+        if (recovery == RecoveryStrategy::kCheckpointRestart) {
+          EXPECT_GE(j, mean * (1.0 - 1e-12)) << "sigma=" << sigma
+                                             << " n=" << n;
+        }
+        previous = j;
+      }
+    }
+  }
+}
+
+TEST(AnalyticFormsTest, SpeculativeSlowdownMatchesMonteCarlo) {
+  // The speculation-capped integral against the DES's own draws:
+  // max of n FaultModel::NextSlowdown draws, within 4 standard errors.
+  constexpr int kTrials = 20000;
+  for (double sigma : {0.3, 0.6, 1.0}) {
+    const FaultSpec spec =
+        StragglerSpec(sigma, RecoveryStrategy::kSpeculativeReexec);
+    const FaultModel model(spec, 11);
+    for (int n : {1, 8, 64}) {
+      Pcg32 rng(DeriveSeed(29, static_cast<uint64_t>(n)),
+                static_cast<uint64_t>(sigma * 10.0));
+      double sum = 0.0;
+      double sum_sq = 0.0;
+      for (int trial = 0; trial < kTrials; ++trial) {
+        double slowest = 0.0;
+        for (int i = 0; i < n; ++i) {
+          slowest = std::max(slowest, model.NextSlowdown(&rng));
+        }
+        sum += slowest;
+        sum_sq += slowest * slowest;
+      }
+      const double mean = sum / kTrials;
+      const double variance = (sum_sq - kTrials * mean * mean) / (kTrials - 1);
+      const double standard_error = std::sqrt(variance / kTrials);
+      EXPECT_NEAR(ExpectedMaxSlowdown(spec, n), mean, 4.0 * standard_error)
+          << "sigma=" << sigma << " n=" << n;
+    }
+  }
+}
+
+TEST(AnalyticFormsTest, HugeStragglerSigmaIsNeverANonFiniteAnswer) {
+  for (double sigma : {10.0, 30.0, 100.0}) {
+    for (RecoveryStrategy recovery : {RecoveryStrategy::kCheckpointRestart,
+                                      RecoveryStrategy::kSpeculativeReexec}) {
+      for (bool crashes : {false, true}) {
+        FaultSpec spec = crashes ? CrashSpec() : FaultSpec{};
+        spec.straggler_sigma = sigma;
+        spec.recovery = recovery;
+        spec.checkpoint_cost_s = 5.0;
+        for (int n : {1, 64}) {
+          EXPECT_FALSE(std::isnan(ExpectedMaxSlowdown(spec, n)))
+              << "sigma=" << sigma << " n=" << n;
+          Result<double> t = ExpectedCompletionSeconds(spec, n, 400.0);
+          if (t.ok()) {
+            EXPECT_TRUE(std::isfinite(t.value()))
+                << "sigma=" << sigma << " n=" << n;
+            continue;
+          }
+          EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
+          EXPECT_NE(t.status().message().find("straggler_sigma"),
+                    std::string::npos)
+              << t.status().message();
+        }
+      }
+    }
+  }
+  // Past the integral's range the slowdown is +inf, and the completion
+  // time names the knob to turn.
+  const FaultSpec wild = StragglerSpec(100.0);
+  EXPECT_EQ(ExpectedMaxSlowdown(wild, 8),
+            std::numeric_limits<double>::infinity());
+  Result<double> t = ExpectedCompletionSeconds(wild, 8, 400.0);
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(t.status().message().find("lower straggler_sigma"),
+            std::string::npos);
 }
 
 TEST(AnalyticFormsTest, FaultFreeCompletionIsSegmentsTimesSegment) {

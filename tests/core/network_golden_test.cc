@@ -5,6 +5,7 @@
 // are restated here by hand, so a drive-by "simplification" of a closed form
 // that changes even the rounding of the last ulp fails this suite.
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -180,6 +181,39 @@ TEST(NetworkGoldenTest, ContendedFabricIsNeverFasterThanIdeal) {
     for (int n : {8, 16, 64, 256}) {
       EXPECT_GE(contended_models[i]->Seconds(n), ideal_models[i]->Seconds(n))
           << ideal_models[i]->name() << " n=" << n;
+    }
+  }
+}
+
+// The analytic contended ring price, pinned to the bits it had while
+// Seconds still routed and priced each of the 2(n-1) identical rounds one
+// by one. Pricing the distinct round once and adding it 2(n-1) times must
+// keep every bit.
+TEST(NetworkGoldenTest, ContendedRingSecondsMatchesPinnedBits) {
+  const LinkSpec edge{.bandwidth_bps = 1e10, .latency_s = 2e-6};
+  struct Fabric {
+    std::shared_ptr<Topology> topology;
+    uint64_t bits[4];  // n = 2, 17, 64, 257
+  };
+  const Fabric fabrics[] = {
+      {std::make_shared<FatTreeTopology>(4, 4.0),
+       {UINT64_C(0x3fe00010c6f7a0b6), UINT64_C(0x3fee2036fd1234df),
+        UINT64_C(0x3fef8841ede11992), UINT64_C(0x3ff000d6e7b0a5ff)}},
+      {std::make_shared<Mesh2dTopology>(),
+       {UINT64_C(0x3fe00008637bd05b), UINT64_C(0x3fee20bd34cf3a87),
+        UINT64_C(0x3fef9ce6c093d97e), UINT64_C(0x3ff0375d8c7af533)}},
+      {std::make_shared<StarTopology>(),
+       {UINT64_C(0x3ff0000c9539b88a), UINT64_C(0x4030000c9539b881),
+        UINT64_C(0x404f8018c5c9a35a), UINT64_C(0x4070000c9539b8c4)}}};
+  const int nodes[] = {2, 17, 64, 257};
+  for (const Fabric& fabric : fabrics) {
+    const NetworkSpec network{fabric.topology,
+                              std::make_shared<Mm1QueueModel>(0.2)};
+    const RingAllReduceComm ring(4e9, edge, network);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(ring.Seconds(nodes[i])),
+                fabric.bits[i])
+          << ring.label() << " n=" << nodes[i];
     }
   }
 }

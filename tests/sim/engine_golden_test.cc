@@ -164,9 +164,9 @@ TEST(EngineGoldenTest, RingForEachRoundSumsLikeSeconds) {
   for (int n : {1, 2, 5, 17}) {
     int rounds = 0;
     double repeat_sum = 0.0;
-    ring.ForEachRound(n, [&](const core::TrafficRound& round) {
-      ++rounds;
-      repeat_sum += round.repeat;
+    ring.ForEachRound(n, [&](const core::TrafficRound& round, int times) {
+      rounds += times;
+      for (int i = 0; i < times; ++i) repeat_sum += round.repeat;
       if (n > 1) {
         EXPECT_EQ(round.flows.size(), static_cast<size_t>(n));
       }
